@@ -40,8 +40,9 @@ class IAnalysis {
   /// nothing buffered, nothing written.
   virtual double output() { return 0.0; }
 
-  /// Approximate resident bytes currently held by the analysis (for the
-  /// memory tracker; mirrors fm + accumulated im/cm).
+  /// Approximate resident bytes currently held by the analysis (the runtime
+  /// charges its growth to the Eq 5-8 memory recurrence; mirrors fm +
+  /// accumulated im/cm).
   [[nodiscard]] virtual double resident_bytes() const { return 0.0; }
 };
 

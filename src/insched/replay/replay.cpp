@@ -12,16 +12,10 @@ namespace insched::replay {
 
 namespace {
 
+using scheduler::recurrence::Cost;
+using scheduler::recurrence::is_memory_cost;
 using scheduler::recurrence::memory_exceeds_budget;
 using scheduler::recurrence::time_exceeds_budget;
-
-/// Per-analysis memory costs after the one-time activation draw.
-struct MemoryCosts {
-  double fm = 0.0;
-  double im = 0.0;
-  double cm = 0.0;
-  double om = 0.0;
-};
 
 [[nodiscard]] double jittered(double cost, double jitter, Rng& rng) noexcept {
   if (jitter <= 0.0 || cost == 0.0) return cost;
@@ -40,79 +34,20 @@ ReplayResult replay_schedule(const scheduler::ScheduleProblem& problem,
   result.predicted = scheduler::predicted_trajectory(problem, schedule);
 
   const long steps = problem.steps;
-  const std::size_t n = problem.size();
   const double time_budget = problem.time_budget();
 
-  scheduler::Trajectory& replayed = result.replayed;
-  replayed.steps = steps;
-  replayed.analysis_seconds.assign(static_cast<std::size_t>(steps), 0.0);
-  replayed.cumulative_seconds.assign(static_cast<std::size_t>(steps), 0.0);
-  replayed.memory_start.assign(static_cast<std::size_t>(steps), 0.0);
-
+  // The walker asks for each cost in its fixed event order; time costs are
+  // drawn per event, memory costs once per analysis at activation (see the
+  // jitter semantics in the header).
   Rng rng(options.seed);
-
-  // Step 0: activation events — ft charged, fm allocated, and the per-
-  // analysis memory costs drawn once (see jitter semantics in the header).
-  std::vector<MemoryCosts> mem_costs(n);
-  std::vector<double> mem_end(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!schedule.analysis(i).active()) continue;
-    const scheduler::AnalysisParams& p = problem.analyses[i];
-    MemoryCosts& mc = mem_costs[i];
-    mc.fm = jittered(p.fm, options.memory_jitter, rng);
-    mc.im = jittered(p.im, options.memory_jitter, rng);
-    mc.cm = jittered(p.cm, options.memory_jitter, rng);
-    mc.om = jittered(p.om, options.memory_jitter, rng);
-    replayed.setup_seconds += jittered(p.ft, options.time_jitter, rng);
-    mem_end[i] = mc.fm;
-    ++result.events;
-  }
-
-  // Event loop: per step, per active analysis — facilitation, analysis
-  // kernel, output write, allocations, Eq 6 reset.
-  std::vector<std::size_t> next_a(n, 0), next_o(n, 0);
-  double cumulative = replayed.setup_seconds;
-  for (long j = 1; j <= steps; ++j) {
-    double step_seconds = 0.0;
-    double total_start = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const scheduler::AnalysisSchedule& s = schedule.analysis(i);
-      if (!s.active()) continue;
-      const scheduler::AnalysisParams& p = problem.analyses[i];
-      const MemoryCosts& mc = mem_costs[i];
-      const bool is_analysis =
-          next_a[i] < s.analysis_steps.size() && s.analysis_steps[next_a[i]] == j;
-      const bool is_output =
-          next_o[i] < s.output_steps.size() && s.output_steps[next_o[i]] == j;
-      step_seconds += jittered(p.it, options.time_jitter, rng);
-      double m_start = mem_end[i] + mc.im;
-      ++result.events;
-      if (is_analysis) {
-        step_seconds += jittered(p.ct, options.time_jitter, rng);
-        m_start += mc.cm;
-        ++next_a[i];
-        ++result.events;
-      }
-      if (is_output) {
-        step_seconds += jittered(problem.output_time(i), options.time_jitter, rng);
-        m_start += mc.om;
-        ++next_o[i];
-        ++result.events;
-      }
-      total_start += m_start;
-      mem_end[i] = is_output ? mc.fm : m_start;  // Eq 6
-    }
-    cumulative += step_seconds;
-    const auto k = static_cast<std::size_t>(j - 1);
-    replayed.analysis_seconds[k] = step_seconds;
-    replayed.cumulative_seconds[k] = cumulative;
-    replayed.memory_start[k] = total_start;
-    if (total_start > replayed.peak_memory) {
-      replayed.peak_memory = total_start;
-      replayed.peak_memory_step = j;
-    }
-  }
-  replayed.total_seconds = cumulative;
+  const auto jitter = [&](Cost kind, std::size_t i) {
+    return jittered(scheduler::recurrence::nominal_cost(problem, kind, i),
+                    is_memory_cost(kind) ? options.memory_jitter : options.time_jitter, rng);
+  };
+  scheduler::recurrence::Walker walker(schedule);
+  result.replayed = scheduler::record_trajectory(walker, steps, jitter);
+  result.events = walker.events();
+  const scheduler::Trajectory& replayed = result.replayed;
 
   // Feasibility of both trajectories against the problem's budgets, with
   // the shared recurrence comparisons — the same call the validator makes.
@@ -120,7 +55,7 @@ ReplayResult replay_schedule(const scheduler::ScheduleProblem& problem,
       !time_exceeds_budget(result.predicted.total_seconds, time_budget);
   result.predicted_memory_feasible =
       !memory_exceeds_budget(result.predicted.peak_memory, problem.mth);
-  result.replayed_time_feasible = !time_exceeds_budget(cumulative, time_budget);
+  result.replayed_time_feasible = !time_exceeds_budget(replayed.total_seconds, time_budget);
   result.replayed_memory_feasible =
       !memory_exceeds_budget(replayed.peak_memory, problem.mth);
 

@@ -16,9 +16,10 @@
 //    Eq 6 reset must return to the same fm the activation charged, or the
 //    recurrence itself would be broken rather than perturbed).
 //
-// With zero jitter the replay performs the identical arithmetic as
-// predicted_trajectory(), so the divergence report is exactly empty — the
-// differential validator asserts this. With jitter, any budget violation in
+// The replay is the recurrence::Walker under a jittering cost hook; with
+// zero jitter the hook returns the problem's own costs, so the replay is
+// predicted_trajectory() bit for bit and the divergence report is exactly
+// empty — the differential validator asserts this. With jitter, any budget violation in
 // the replayed trajectory must be accompanied by a flagged divergence
 // (ReplayResult::sound()); a violation with no divergence would mean the
 // replay disagrees with the recurrences themselves.

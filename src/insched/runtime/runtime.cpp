@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "insched/perfmodel/profiler.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/support/assert.hpp"
 #include "insched/support/fault_inject.hpp"
 #include "insched/support/log.hpp"
@@ -44,7 +45,8 @@ RunMetrics InsituRuntime::run() {
   metrics.steps = schedule_.steps();
   metrics.analyses.resize(n);
 
-  MemoryTracker tracker(n, config_.memory_budget);
+  // The Eq 5-8 memory recurrence, fed the bytes each phase measurably adds.
+  scheduler::recurrence::Walker walker(n, config_.memory_budget);
   std::optional<machine::SimulatedStore> store;
   if (config_.storage) store.emplace(*config_.storage);
 
@@ -60,7 +62,7 @@ RunMetrics InsituRuntime::run() {
       a.setup();
     }
     if (config_.measure_time) metrics.analyses[i].setup_seconds = seconds_since(begin);
-    tracker.activate(i, a.resident_bytes());
+    walker.activate(i, a.resident_bytes());
   }
 
   // Per-analysis cursors over the sorted step lists.
@@ -101,7 +103,6 @@ RunMetrics InsituRuntime::run() {
       async_debt = std::max(0.0, async_debt - sim_seconds);
     }
 
-    tracker.begin_step(step);
     // Per-step facilitation of every active analysis (it / im).
     for (std::size_t i = 0; i < n; ++i) {
       const scheduler::AnalysisSchedule& s = schedule_.analysis(i);
@@ -115,7 +116,7 @@ RunMetrics InsituRuntime::run() {
       }
       if (config_.measure_time)
         metrics.analyses[i].per_step_seconds += seconds_since(begin);
-      tracker.add_per_step(i, std::max(0.0, a.resident_bytes() - before));
+      walker.charge(i, std::max(0.0, a.resident_bytes() - before));
     }
 
     // Analysis steps (ct / cm).
@@ -157,7 +158,7 @@ RunMetrics InsituRuntime::run() {
       }
       ++metrics.analyses[i].analysis_steps;
       const double analyze_bytes = std::max(0.0, a.resident_bytes() - before);
-      tracker.add_analysis(i, analyze_bytes);
+      walker.charge(i, analyze_bytes);
       if (config_.online != nullptr) {
         perfmodel::CostSample sample;
         sample.ct = analyze_seconds;
@@ -170,16 +171,14 @@ RunMetrics InsituRuntime::run() {
       output_now[i] = output_due;
     }
 
-    // Output allocation happens before the step's memory peak is sampled,
-    // the reset after (Eqs 5-6).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (output_now[i]) tracker.add_output(i, 0.0);  // om folded into bytes below
-    }
-    tracker.commit_step();
+    // The step's memory is sampled before the outputs flush, the Eq 6 reset
+    // after them; output bytes are written out, not held (om folds into
+    // bytes_written below).
+    walker.commit(step);
 
-    // Memory-budget overrun policy: the tracker samples the step's committed
+    // Memory-budget overrun policy: the walker samples the step's committed
     // peak against the budget; new violations trigger the configured action.
-    const long violations_now = tracker.violations();
+    const long violations_now = walker.violations();
     if (violations_now > violations_seen) {
       metrics.memory_overruns += violations_now - violations_seen;
       violations_seen = violations_now;
@@ -206,7 +205,7 @@ RunMetrics InsituRuntime::run() {
         case FailurePolicy::kSkipAndLog:
           INSCHED_LOG_WARN("insitu runtime: memory budget overrun at step %ld "
                            "(peak %.0f bytes)",
-                           step, tracker.peak());
+                           step, walker.peak());
           break;
       }
     }
@@ -253,12 +252,12 @@ RunMetrics InsituRuntime::run() {
       }
       // The output buffer is released either way (a failed flush is dropped),
       // keeping the Eq 5-6 recurrence consistent.
-      tracker.finish_output(i);
+      walker.reset(i);
     }
   }
 
-  metrics.peak_memory_bytes = tracker.peak();
-  metrics.memory_violations = tracker.violations();
+  metrics.peak_memory_bytes = walker.peak();
+  metrics.memory_violations = walker.violations();
   metrics.async_drain_seconds = async_debt;  // unhidden remainder at the end
   return metrics;
 }

@@ -12,7 +12,6 @@
 #include "insched/analysis/registry.hpp"
 #include "insched/perfmodel/online.hpp"
 #include "insched/machine/storage.hpp"
-#include "insched/runtime/memory_tracker.hpp"
 #include "insched/runtime/metrics.hpp"
 #include "insched/scheduler/params.hpp"
 #include "insched/scheduler/schedule.hpp"
@@ -36,7 +35,8 @@ struct RuntimeConfig {
   /// write time (bytes/bw) is charged to the analysis's output_seconds in
   /// addition to the measured serialization cost.
   std::optional<machine::StorageModel> storage;
-  /// Memory budget for the tracker (bytes); infinity disables violations.
+  /// Memory budget of the per-step recurrence sample (bytes); infinity
+  /// disables violations.
   double memory_budget = std::numeric_limits<double>::infinity();
   /// Record wall-clock per-phase times (off for pure functional runs).
   bool measure_time = true;

@@ -1,6 +1,6 @@
 #include "insched/runtime/virtual_exec.hpp"
 
-#include "insched/runtime/memory_tracker.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/support/assert.hpp"
 
 namespace insched::runtime {
@@ -17,78 +17,45 @@ VirtualRunReport virtual_execute(const scheduler::ScheduleProblem& problem,
   INSCHED_EXPECTS(real.size() == problem.size());
   INSCHED_EXPECTS(real.steps == problem.steps);
 
-  const std::size_t n = problem.size();
   VirtualRunReport report;
   report.metrics.steps = problem.steps;
-  report.metrics.analyses.resize(n);
+  report.metrics.analyses.resize(problem.size());
   report.step_seconds.assign(static_cast<std::size_t>(problem.steps), 0.0);
+  for (std::size_t i = 0; i < problem.size(); ++i)
+    report.metrics.analyses[i].name = schedule.analysis(i).name;
 
-  MemoryTracker tracker(n, problem.mth);
-  std::vector<std::size_t> next_a(n, 0), next_o(n, 0);
+  // The walker bills `real`'s costs; the hook mirrors each time charge into
+  // the RunMetrics view and streams analysis/output costs to the online model.
+  using scheduler::recurrence::Cost;
+  const auto bill = [&](Cost kind, std::size_t i) {
+    const double cost = scheduler::recurrence::nominal_cost(real, kind, i);
+    AnalysisMetrics& m = report.metrics.analyses[i];
+    switch (kind) {
+      case Cost::kFt: m.setup_seconds = cost; break;
+      case Cost::kIt: m.per_step_seconds += cost; break;
+      case Cost::kCt:
+        m.compute_seconds += cost;
+        ++m.analysis_steps;
+        if (config.online != nullptr)
+          config.online->observe(m.name, {.ct = cost, .cm = real.analyses[i].cm});
+        break;
+      case Cost::kOt:
+        m.output_seconds += cost;
+        m.bytes_written += real.analyses[i].om;
+        ++m.output_steps;
+        if (config.online != nullptr) config.online->observe(m.name, {.ot = cost});
+        break;
+      default: break;  // memory costs live in the walker
+    }
+    return cost;
+  };
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const scheduler::AnalysisSchedule& s = schedule.analysis(i);
-    report.metrics.analyses[i].name = s.name;
-    if (!s.active()) continue;
-    const scheduler::AnalysisParams& p = real.analyses[i];
-    report.metrics.analyses[i].setup_seconds = p.ft;
-    tracker.activate(i, p.fm);
-  }
-
+  scheduler::recurrence::Walker walker(schedule, problem.mth);
+  walker.start(bill);
   for (long step = 1; step <= problem.steps; ++step) {
-    double step_time = config.sim_time_per_step;
+    (void)walker.advance(bill);
+    double step_time = config.sim_time_per_step + walker.step_seconds();
     report.metrics.simulation_seconds += config.sim_time_per_step;
-
-    tracker.begin_step(step);
-    for (std::size_t i = 0; i < n; ++i) {
-      const scheduler::AnalysisSchedule& s = schedule.analysis(i);
-      if (!s.active()) continue;
-      const scheduler::AnalysisParams& p = real.analyses[i];
-      report.metrics.analyses[i].per_step_seconds += p.it;
-      step_time += p.it;
-      tracker.add_per_step(i, p.im);
-
-      const bool analysis_step =
-          next_a[i] < s.analysis_steps.size() && s.analysis_steps[next_a[i]] == step;
-      if (analysis_step) {
-        ++next_a[i];
-        report.metrics.analyses[i].compute_seconds += p.ct;
-        ++report.metrics.analyses[i].analysis_steps;
-        step_time += p.ct;
-        tracker.add_analysis(i, p.cm);
-        if (config.online != nullptr) {
-          perfmodel::CostSample sample;
-          sample.ct = p.ct;
-          sample.cm = p.cm;
-          config.online->observe(s.name, sample);
-        }
-      }
-      const bool output_step =
-          analysis_step && next_o[i] < s.output_steps.size() && s.output_steps[next_o[i]] == step;
-      if (output_step) {
-        tracker.add_output(i, p.om);
-      }
-    }
-    tracker.commit_step();
-    for (std::size_t i = 0; i < n; ++i) {
-      const scheduler::AnalysisSchedule& s = schedule.analysis(i);
-      const bool output_step =
-          next_o[i] < s.output_steps.size() && s.output_steps[next_o[i]] == step;
-      if (!output_step) continue;
-      ++next_o[i];
-      const double ot = real.output_time(i);
-      report.metrics.analyses[i].output_seconds += ot;
-      report.metrics.analyses[i].bytes_written += real.analyses[i].om;
-      ++report.metrics.analyses[i].output_steps;
-      step_time += ot;
-      tracker.finish_output(i);
-      if (config.online != nullptr) {
-        perfmodel::CostSample sample;
-        sample.ot = ot;
-        config.online->observe(s.name, sample);
-      }
-    }
-
     // Simulation output frames.
     if (config.sim_output_interval > 0 && step % config.sim_output_interval == 0 &&
         config.write_bw > 0.0) {
@@ -99,8 +66,8 @@ VirtualRunReport virtual_execute(const scheduler::ScheduleProblem& problem,
     report.step_seconds[static_cast<std::size_t>(step - 1)] = step_time;
   }
 
-  report.metrics.peak_memory_bytes = tracker.peak();
-  report.metrics.memory_violations = tracker.violations();
+  report.metrics.peak_memory_bytes = walker.peak();
+  report.metrics.memory_violations = walker.violations();
   report.end_to_end_seconds = report.metrics.simulation_seconds +
                               report.metrics.total_analysis_seconds() +
                               report.sim_output_seconds;

@@ -3,9 +3,9 @@
 // Virtual executor: replays a schedule against the Table-1 cost parameters
 // and a machine model instead of real kernels — this is how the paper-scale
 // experiments (100M-1G atoms on 2Ki-32Ki cores of Mira) are reproduced on a
-// laptop. It walks the same per-step loop as InsituRuntime, but "time" is
-// the modeled cost and "memory" the modeled recurrence, so its reports have
-// exactly the same shape as real runs.
+// laptop. It is the scheduler::recurrence::Walker billing modeled costs,
+// viewed as RunMetrics; InsituRuntime feeds the same walker measured bytes,
+// so its reports have exactly the same shape as real runs.
 
 #include <vector>
 

@@ -1,6 +1,7 @@
 #include "insched/scheduler/schedule.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "insched/support/assert.hpp"
 #include "insched/support/string_util.hpp"
@@ -15,18 +16,38 @@ bool AnalysisSchedule::is_output_step(long step) const {
   return std::binary_search(output_steps.begin(), output_steps.end(), step);
 }
 
+namespace {
+
+bool strictly_increasing(const std::vector<long>& steps) {
+  return std::adjacent_find(steps.begin(), steps.end(), std::greater_equal<>()) ==
+         steps.end();
+}
+
+}  // namespace
+
+std::string schedule_defect(long steps, const std::vector<AnalysisSchedule>& analyses) {
+  if (steps < 0) return format("schedule covers %ld steps", steps);
+  for (const AnalysisSchedule& a : analyses) {
+    const char* name = a.name.c_str();
+    if (!strictly_increasing(a.analysis_steps))
+      return format("%s: analysis steps are not strictly increasing", name);
+    if (!strictly_increasing(a.output_steps))
+      return format("%s: output steps are not strictly increasing", name);
+    if (!a.analysis_steps.empty() &&
+        (a.analysis_steps.front() < 1 || a.analysis_steps.back() > steps))
+      return format("%s: analysis steps leave [1, %ld]", name, steps);
+    if (!std::includes(a.analysis_steps.begin(), a.analysis_steps.end(),
+                       a.output_steps.begin(), a.output_steps.end()))
+      return format("%s: an output step is not an analysis step", name);
+  }
+  return {};
+}
+
 Schedule::Schedule(long steps, std::vector<AnalysisSchedule> analyses)
     : steps_(steps), analyses_(std::move(analyses)) {
-  INSCHED_EXPECTS(steps_ >= 0);
-  for (const AnalysisSchedule& a : analyses_) {
-    INSCHED_EXPECTS(std::is_sorted(a.analysis_steps.begin(), a.analysis_steps.end()));
-    INSCHED_EXPECTS(std::is_sorted(a.output_steps.begin(), a.output_steps.end()));
-    if (!a.analysis_steps.empty()) {
-      INSCHED_EXPECTS(a.analysis_steps.front() >= 1);
-      INSCHED_EXPECTS(a.analysis_steps.back() <= steps_);
-    }
-    for (long o : a.output_steps) INSCHED_EXPECTS(a.is_analysis_step(o));
-  }
+  const std::string defect = schedule_defect(steps_, analyses_);
+  if (!defect.empty())
+    contract_violation("precondition", defect.c_str(), __FILE__, __LINE__);
 }
 
 const AnalysisSchedule& Schedule::analysis(std::size_t i) const {

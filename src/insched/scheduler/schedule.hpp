@@ -12,8 +12,8 @@ namespace insched::scheduler {
 
 struct AnalysisSchedule {
   std::string name;
-  std::vector<long> analysis_steps;  ///< sorted, in [1, steps]; the set C_i
-  std::vector<long> output_steps;    ///< sorted subset of analysis_steps; O_i
+  std::vector<long> analysis_steps;  ///< strictly increasing, in [1, steps]; C_i
+  std::vector<long> output_steps;    ///< strictly increasing subset of C_i; O_i
 
   [[nodiscard]] long analysis_count() const noexcept {
     return static_cast<long>(analysis_steps.size());
@@ -26,9 +26,17 @@ struct AnalysisSchedule {
   [[nodiscard]] bool is_output_step(long step) const;
 };
 
+/// Why `analyses` over `steps` steps cannot form a Schedule; empty when
+/// they can. The invariant: steps >= 0, every step list strictly increasing
+/// within [1, steps], and O_i a subset of C_i. The Schedule constructor
+/// aborts on a defect; schedule_from_json throws it as std::runtime_error.
+[[nodiscard]] std::string schedule_defect(long steps,
+                                          const std::vector<AnalysisSchedule>& analyses);
+
 class Schedule {
  public:
   Schedule() = default;
+  /// Aborts unless schedule_defect(steps, analyses) is empty.
   Schedule(long steps, std::vector<AnalysisSchedule> analyses);
 
   [[nodiscard]] long steps() const noexcept { return steps_; }

@@ -162,7 +162,9 @@ Schedule schedule_from_json(const std::string& json) {
     if (!scan.accept(',')) break;
   }
   scan.expect('}');
-  return Schedule(steps, std::move(analyses));  // constructor re-validates
+  const std::string defect = schedule_defect(steps, analyses);
+  if (!defect.empty()) throw std::runtime_error("json: " + defect);
+  return Schedule(steps, std::move(analyses));
 }
 
 std::string solution_to_json(const ScheduleSolution& solution) {

@@ -17,7 +17,8 @@ namespace insched::scheduler {
 [[nodiscard]] std::string schedule_to_json(const Schedule& schedule);
 
 /// Parses schedule_to_json output. Throws std::runtime_error on malformed
-/// input (including outputs that are not analysis steps).
+/// input, including step lists that break the Schedule invariant
+/// (schedule_defect).
 [[nodiscard]] Schedule schedule_from_json(const std::string& json);
 
 /// Full solution: schedule + frequencies + validation summary.

@@ -1,7 +1,5 @@
 #include "insched/scheduler/trajectory.hpp"
 
-#include <algorithm>
-
 #include "insched/support/assert.hpp"
 
 namespace insched::scheduler {
@@ -9,65 +7,8 @@ namespace insched::scheduler {
 Trajectory predicted_trajectory(const ScheduleProblem& problem, const Schedule& schedule) {
   INSCHED_EXPECTS(schedule.size() == problem.size());
   INSCHED_EXPECTS(schedule.steps() == problem.steps);
-
-  const long steps = problem.steps;
-  const std::size_t n = problem.size();
-
-  Trajectory t;
-  t.steps = steps;
-  t.analysis_seconds.assign(static_cast<std::size_t>(steps), 0.0);
-  t.cumulative_seconds.assign(static_cast<std::size_t>(steps), 0.0);
-  t.memory_start.assign(static_cast<std::size_t>(steps), 0.0);
-
-  // Step 0: setup charge and mEnd_{i,0} = fm_i for active analyses (Eq 3, 7).
-  std::vector<double> mem_end(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!schedule.analysis(i).active()) continue;
-    t.setup_seconds += problem.analyses[i].ft;
-    mem_end[i] = problem.analyses[i].fm;
-  }
-
-  // Same O(1)-cursor walk as validate_schedule (Eqs 2-8).
-  std::vector<std::size_t> next_a(n, 0), next_o(n, 0);
-  double cumulative = t.setup_seconds;
-  for (long j = 1; j <= steps; ++j) {
-    double step_seconds = 0.0;
-    double total_start = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const AnalysisSchedule& s = schedule.analysis(i);
-      if (!s.active()) continue;
-      const AnalysisParams& p = problem.analyses[i];
-      const bool is_analysis =
-          next_a[i] < s.analysis_steps.size() && s.analysis_steps[next_a[i]] == j;
-      const bool is_output =
-          next_o[i] < s.output_steps.size() && s.output_steps[next_o[i]] == j;
-      step_seconds += p.it;
-      double m_start = mem_end[i] + p.im;
-      if (is_analysis) {
-        step_seconds += p.ct;
-        m_start += p.cm;
-        ++next_a[i];
-      }
-      if (is_output) {
-        step_seconds += problem.output_time(i);
-        m_start += p.om;
-        ++next_o[i];
-      }
-      total_start += m_start;
-      mem_end[i] = is_output ? p.fm : m_start;  // Eq 6
-    }
-    cumulative += step_seconds;
-    const auto k = static_cast<std::size_t>(j - 1);
-    t.analysis_seconds[k] = step_seconds;
-    t.cumulative_seconds[k] = cumulative;
-    t.memory_start[k] = total_start;
-    if (total_start > t.peak_memory) {
-      t.peak_memory = total_start;
-      t.peak_memory_step = j;
-    }
-  }
-  t.total_seconds = cumulative;
-  return t;
+  recurrence::Walker walker(schedule);
+  return record_trajectory(walker, problem.steps, recurrence::NominalCosts{problem});
 }
 
 Trajectory trajectory_from_time_expanded(const ScheduleProblem& problem,

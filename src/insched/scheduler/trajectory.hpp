@@ -7,9 +7,10 @@
 // a divergence report needs *where* predicted and replayed trajectories
 // separate, not just that the totals differ.
 //
-// Two producers:
-//  - predicted_trajectory(): walks the recurrences exactly like the
-//    validator (same code shape, same tolerances via recurrence.hpp);
+// Producers:
+//  - record_trajectory(): the recurrence::Walker recording its per-step
+//    series under any cost hook — predicted_trajectory() feeds it the
+//    problem's own costs, the replay simulator its seeded jitter;
 //  - trajectory_from_time_expanded(): reads the mStart/mEnd columns straight
 //    out of a solved time-expanded MILP vector, so tests can check that the
 //    solver's linearized memory rows agree with the literal recurrence.
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "insched/scheduler/params.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/scheduler/schedule.hpp"
 #include "insched/scheduler/timeexp_milp.hpp"
 
@@ -43,12 +45,35 @@ struct Trajectory {
   long peak_memory_step = 0;   ///< 1-based step of the peak (0: no steps)
 };
 
-/// Walks the Eq 2-8 recurrences for `schedule` and records the per-step
-/// state. The memory peak agrees with validate_schedule() exactly (the
-/// validator walks the same loop in the same order); the time total agrees
-/// to rounding only — the validator sums closed-form per-analysis totals
-/// (ct * |C_i|), this walks step by step. The schedule must structurally
-/// match the problem (same analysis count, steps); asserted, not reported.
+/// Runs `walker` (fresh, schedule level) to the end under `cost` and
+/// records the per-step state it commits.
+template <class CostFn>
+[[nodiscard]] Trajectory record_trajectory(recurrence::Walker& walker, long steps,
+                                           CostFn&& cost) {
+  Trajectory t;
+  t.steps = steps;
+  t.analysis_seconds.resize(static_cast<std::size_t>(steps));
+  t.cumulative_seconds.resize(static_cast<std::size_t>(steps));
+  t.memory_start.resize(static_cast<std::size_t>(steps));
+  walker.start(cost);
+  t.setup_seconds = walker.setup_seconds();
+  for (std::size_t k = 0; k < t.memory_start.size(); ++k) {
+    t.memory_start[k] = walker.advance(cost);
+    t.analysis_seconds[k] = walker.step_seconds();
+    t.cumulative_seconds[k] = walker.cumulative_seconds();
+  }
+  t.total_seconds = walker.cumulative_seconds();
+  t.peak_memory = walker.peak();
+  t.peak_memory_step = walker.peak_step();
+  return t;
+}
+
+/// The Eq 2-8 trajectory of `schedule` under the problem's own costs. The
+/// memory peak agrees with validate_schedule() exactly (the same walk);
+/// the time total agrees to rounding only — the validator sums closed-form
+/// per-analysis totals (ct * |C_i|), this walks step by step. The schedule
+/// must structurally match the problem (same analysis count, steps);
+/// asserted, not reported.
 [[nodiscard]] Trajectory predicted_trajectory(const ScheduleProblem& problem,
                                               const Schedule& schedule);
 

@@ -1,10 +1,6 @@
 #include "insched/scheduler/validator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "insched/scheduler/recurrence.hpp"
-#include "insched/support/assert.hpp"
 #include "insched/support/string_util.hpp"
 
 namespace insched::scheduler {
@@ -29,15 +25,11 @@ ValidationReport validate_schedule(const ScheduleProblem& problem, const Schedul
   const long steps = problem.steps;
   const std::size_t n = problem.size();
 
-  // --- Structural checks: O_i subset of C_i, interval rule (Eq 9) ---------
+  // --- Structural checks the Schedule type leaves open: the output policy
+  // and the interval rule (Eq 9).
   for (std::size_t i = 0; i < n; ++i) {
     const AnalysisParams& p = problem.analyses[i];
     const AnalysisSchedule& s = schedule.analysis(i);
-    for (long o : s.output_steps) {
-      if (!s.is_analysis_step(o))
-        report.violations.push_back(
-            format("%s: output step %ld is not an analysis step", p.name.c_str(), o));
-    }
     if (problem.output_policy == OutputPolicy::kEveryAnalysis &&
         s.output_count() != s.analysis_count()) {
       report.violations.push_back(format("%s: policy requires output at every analysis step",
@@ -61,7 +53,7 @@ ValidationReport validate_schedule(const ScheduleProblem& problem, const Schedul
     }
   }
 
-  // --- Time recurrence (Eqs 2-4) ------------------------------------------
+  // --- Time (Eqs 2-4): closed-form per-analysis totals from the counts ----
   report.breakdown.reserve(n);
   double total_time = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -84,49 +76,15 @@ ValidationReport validate_schedule(const ScheduleProblem& problem, const Schedul
                                        total_time, report.time_budget));
   }
 
-  // --- Memory recurrence (Eqs 5-8), walked step by step -------------------
-  // mEnd_{i,0} = fm_i; at each step j: mStart = mEnd + im + cm[j in C] +
-  // om[j in O]; mEnd = fm at output steps, else mStart.
-  std::vector<double> mem_end(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    if (schedule.analysis(i).active()) mem_end[i] = problem.analyses[i].fm;
-
-  double peak = 0.0;
-  long peak_step = 0;
-  // Track per-analysis positions in their sorted step lists for O(1) checks.
-  std::vector<std::size_t> next_a(n, 0), next_o(n, 0);
-  for (long j = 1; j <= steps; ++j) {
-    double total_start = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const AnalysisSchedule& s = schedule.analysis(i);
-      if (!s.active()) continue;
-      const AnalysisParams& p = problem.analyses[i];
-      const bool is_analysis =
-          next_a[i] < s.analysis_steps.size() && s.analysis_steps[next_a[i]] == j;
-      const bool is_output =
-          next_o[i] < s.output_steps.size() && s.output_steps[next_o[i]] == j;
-      double m_start = mem_end[i] + p.im;
-      if (is_analysis) {
-        m_start += p.cm;
-        ++next_a[i];
-      }
-      if (is_output) {
-        m_start += p.om;
-        ++next_o[i];
-      }
-      total_start += m_start;
-      mem_end[i] = is_output ? p.fm : m_start;  // Eq 6
-    }
-    if (total_start > peak) {
-      peak = total_start;
-      peak_step = j;
-    }
-  }
-  report.peak_memory = peak;
-  report.peak_memory_step = peak_step;
-  if (recurrence::memory_exceeds_budget(peak, problem.mth)) {
-    report.violations.push_back(format("peak memory %.0f at step %ld exceeds mth %.0f", peak,
-                                       peak_step, problem.mth));
+  // --- Memory (Eqs 5-8): the recurrence walked step by step ----------------
+  recurrence::Walker walker(schedule);
+  walker.run(recurrence::NominalCosts{problem});
+  report.peak_memory = walker.peak();
+  report.peak_memory_step = walker.peak_step();
+  if (recurrence::memory_exceeds_budget(report.peak_memory, problem.mth)) {
+    report.violations.push_back(format("peak memory %.0f at step %ld exceeds mth %.0f",
+                                       report.peak_memory, report.peak_memory_step,
+                                       problem.mth));
   }
 
   report.feasible = report.violations.empty();

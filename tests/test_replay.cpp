@@ -320,6 +320,106 @@ TEST(Replay, DeterministicForFixedSeed) {
   EXPECT_NE(a.replayed.total_seconds, c.replayed.total_seconds);
 }
 
+TEST(Replay, SeededJitterMatchesGoldenValues) {
+  // Pins the jitter draw order: replayed totals, peaks and event counts of
+  // greedy schedules at 5% time and memory jitter, recorded as hex floats.
+  // Problems 0-2 are the staircases; their ft/it are mostly zero, and a zero
+  // cost draws nothing, so problem 3 (every cost non-zero) pins the order
+  // of all eight cost kinds. Any reordering of cost events or RNG draws in
+  // the recurrence walk changes these bits.
+  struct Golden {
+    std::size_t problem;
+    std::uint64_t seed;
+    double total_seconds;
+    double peak_memory;
+    long events;
+  };
+  const Golden golden[] = {
+      {0, 1, 0x1.0f4a3b266dbcep+2, 0x1.e6a6d5e460dd8p+23, 1623},
+      {0, 2, 0x1.0df13e9e01f8ep+2, 0x1.e70fe8ac01451p+23, 1623},
+      {0, 3, 0x1.0eda65d62b4e3p+2, 0x1.ee250475a28e9p+23, 1623},
+      {0, 4, 0x1.0d2b365e3ef9fp+2, 0x1.e69f5317eaf4p+23, 1623},
+      {0, 5, 0x1.0e9442e82d946p+2, 0x1.eb16f77eec941p+23, 1623},
+      {0, 6, 0x1.0d586b4666111p+2, 0x1.eb981f90354a5p+23, 1623},
+      {0, 7, 0x1.0f5e9913a0fa2p+2, 0x1.e1136932e12c6p+23, 1623},
+      {0, 8, 0x1.101ca55fcc6f4p+2, 0x1.f30acc4d68f41p+23, 1623},
+      {1, 1, 0x1.5669f5c417885p+6, 0x1.e4f1ca407fa54p+27, 1553},
+      {1, 2, 0x1.5c56fa79c9f2ep+6, 0x1.ec55ddd5ab144p+27, 1553},
+      {1, 3, 0x1.62a28df40aefap+6, 0x1.ed61f81705e4p+27, 1553},
+      {1, 4, 0x1.56804dc288ed7p+6, 0x1.ec1eebb8ea507p+27, 1553},
+      {1, 5, 0x1.5e901e3b004bfp+6, 0x1.f01e29db69332p+27, 1553},
+      {1, 6, 0x1.578bdb1bc6d96p+6, 0x1.e7f90ce5f86bdp+27, 1553},
+      {1, 7, 0x1.5560e3088a96cp+6, 0x1.f38771f0328f7p+27, 1553},
+      {1, 8, 0x1.5b18fe04978eap+6, 0x1.f3fc8246b612dp+27, 1553},
+      {2, 1, 0x1.0c06e52fbfb14p+5, 0x1.edbbfd866389dp+31, 1559},
+      {2, 2, 0x1.08b5d77439f08p+5, 0x1.e4131a3e27acap+31, 1559},
+      {2, 3, 0x1.0e902b66df149p+5, 0x1.f05e1ee20a01ep+31, 1559},
+      {2, 4, 0x1.0b171bab29985p+5, 0x1.ec8d8549539fp+31, 1559},
+      {2, 5, 0x1.089e38055f1bbp+5, 0x1.e59b95b2b59b4p+31, 1559},
+      {2, 6, 0x1.0476b7b036c6cp+5, 0x1.f989fb05ea8cp+31, 1559},
+      {2, 7, 0x1.09e95447e7beep+5, 0x1.e7c6cc56b179cp+31, 1559},
+      {2, 8, 0x1.08e939a503e9cp+5, 0x1.f2acef106feffp+31, 1559},
+      {3, 1, 0x1.902a14413d59ap+5, 0x1.e1f267ed75fc8p+8, 258},
+      {3, 2, 0x1.91275043f8353p+5, 0x1.e1093185f84f2p+8, 258},
+      {3, 3, 0x1.8fbf41150529cp+5, 0x1.e24097f5a1528p+8, 258},
+      {3, 4, 0x1.8e9ace2641641p+5, 0x1.eaf56eac33b6ep+8, 258},
+      {3, 5, 0x1.8d8c2872b156ap+5, 0x1.eca28c9384f5cp+8, 258},
+      {3, 6, 0x1.8eafdacb8b56ep+5, 0x1.ef282ab45d9aap+8, 258},
+      {3, 7, 0x1.907ed39101d49p+5, 0x1.e1a75c9027bc4p+8, 258},
+      {3, 8, 0x1.8fc3780a8362fp+5, 0x1.e98e8592149d6p+8, 258}
+  };
+  std::vector<ScheduleProblem> problems = staircase_problems();
+  problems.push_back(two_analysis_problem());
+  std::vector<Schedule> schedules;
+  for (const ScheduleProblem& p : problems) schedules.push_back(scheduler::greedy_schedule(p));
+  replay::ReplayOptions opt;
+  opt.time_jitter = 0.05;
+  opt.memory_jitter = 0.05;
+  for (const Golden& g : golden) {
+    opt.seed = g.seed;
+    const replay::ReplayResult r =
+        replay::replay_schedule(problems[g.problem], schedules[g.problem], opt);
+    SCOPED_TRACE(testing::Message() << "problem " << g.problem << " seed " << g.seed);
+    EXPECT_EQ(r.replayed.total_seconds, g.total_seconds);
+    EXPECT_EQ(r.replayed.peak_memory, g.peak_memory);
+    EXPECT_EQ(r.events, g.events);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Duplicate steps: no walk can see them.
+
+TEST(ScheduleInvariantDeathTest, DuplicateStepsNeverReachAWalk) {
+  // A duplicate used to stall every cursor walk: with C={2,2,6} the
+  // validator billed three ct, the walks one, silently dropping step 6.
+  // Such a schedule can no longer be constructed...
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)Schedule(8, {AnalysisSchedule{"a", {2, 2, 6}, {}}}),
+               "not strictly increasing");
+  EXPECT_DEATH((void)Schedule(8, {AnalysisSchedule{"a", {2, 6}, {6, 6}}}),
+               "not strictly increasing");
+
+  // ...so the validator, trajectory, replay and virtual executor all bill
+  // the well-formed C={2,6} the same two ct.
+  ScheduleProblem p;
+  p.steps = 8;
+  p.threshold_kind = scheduler::ThresholdKind::kTotalSeconds;
+  p.threshold = 100.0;
+  p.output_policy = scheduler::OutputPolicy::kNone;
+  AnalysisParams a;
+  a.name = "a";
+  a.ct = 1.0;
+  p.analyses.push_back(a);
+  const Schedule s(8, {AnalysisSchedule{"a", {2, 6}, {}}});
+  EXPECT_EQ(scheduler::validate_schedule(p, s).breakdown[0].compute, 2.0);
+  EXPECT_EQ(scheduler::predicted_trajectory(p, s).total_seconds, 2.0);
+  EXPECT_EQ(replay::replay_schedule(p, s).replayed.total_seconds, 2.0);
+  const runtime::VirtualRunReport v =
+      runtime::virtual_execute(p, s, runtime::VirtualExecConfig{});
+  EXPECT_EQ(v.metrics.analyses[0].compute_seconds, 2.0);
+  EXPECT_EQ(v.metrics.analyses[0].analysis_steps, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Time-expanded memory columns (one-sided big-M check).
 

@@ -1,7 +1,7 @@
-// Tests for the runtime layer: memory tracker protocol, metrics, the real
-// in-situ runtime driving a mini-MD simulation, the virtual executor
-// (cross-checked against the Eq 2-9 validator), and the post-processing
-// pipeline.
+// Tests for the runtime layer: the recurrence walker's event protocol,
+// metrics, the real in-situ runtime driving a mini-MD simulation, the
+// virtual executor (cross-checked against the Eq 2-9 validator), and the
+// post-processing pipeline.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +15,12 @@
 #include "insched/analysis/rdf.hpp"
 #include "insched/analysis/registry.hpp"
 #include "insched/analysis/vorticity.hpp"
-#include "insched/runtime/memory_tracker.hpp"
 #include "insched/runtime/metrics.hpp"
 #include "insched/runtime/postprocess.hpp"
 #include "insched/runtime/runtime.hpp"
 #include "insched/runtime/virtual_exec.hpp"
 #include "insched/scheduler/placement.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/scheduler/solver.hpp"
 #include "insched/scheduler/validator.hpp"
 #include "insched/sim/grid/sedov.hpp"
@@ -31,34 +31,33 @@
 namespace insched::runtime {
 namespace {
 
-TEST(MemoryTrackerProtocol, FollowsRecurrences) {
-  // Mirror of the validator's hand-computed example: fm=10, im=1, cm=5,
-  // om=3, steps {1..4}, analysis+output at steps 2 and 4.
-  MemoryTracker tracker(1, 25.0);
-  tracker.activate(0, 10.0);
-  EXPECT_DOUBLE_EQ(tracker.current(0), 10.0);
+TEST(RecurrenceWalkerEvents, FollowsRecurrences) {
+  // The runtime's event protocol on the Eq 2-8 walker. Mirror of the
+  // validator's hand-computed example: fm=10, im=1, cm=5, om=3, steps
+  // {1..4}, analysis+output at steps 2 and 4.
+  scheduler::recurrence::Walker walker(1, 25.0);
+  walker.activate(0, 10.0);
+  EXPECT_DOUBLE_EQ(walker.memory(0), 10.0);
 
   for (long step = 1; step <= 4; ++step) {
-    tracker.begin_step(step);
-    tracker.add_per_step(0, 1.0);
+    walker.charge(0, 1.0);
     const bool analysis = step == 2 || step == 4;
     if (analysis) {
-      tracker.add_analysis(0, 5.0);
-      tracker.add_output(0, 3.0);
+      walker.charge(0, 5.0);
+      walker.charge(0, 3.0);
     }
-    tracker.commit_step();
-    if (analysis) tracker.finish_output(0);
+    walker.commit(step);
+    if (analysis) walker.reset(0);
   }
-  EXPECT_DOUBLE_EQ(tracker.peak(), 20.0);  // 11 + 1 + 5 + 3 at step 2
-  EXPECT_EQ(tracker.peak_step(), 2);
-  EXPECT_TRUE(tracker.within_budget());
+  EXPECT_DOUBLE_EQ(walker.peak(), 20.0);  // 11 + 1 + 5 + 3 at step 2
+  EXPECT_EQ(walker.peak_step(), 2);
+  EXPECT_TRUE(walker.within_budget());
 
-  MemoryTracker tight(1, 15.0);
+  scheduler::recurrence::Walker tight(1, 15.0);
   tight.activate(0, 10.0);
-  tight.begin_step(1);
-  tight.add_per_step(0, 1.0);
-  tight.add_analysis(0, 5.0);
-  tight.commit_step();
+  tight.charge(0, 1.0);
+  tight.charge(0, 5.0);
+  tight.commit(1);
   EXPECT_FALSE(tight.within_budget());
   EXPECT_EQ(tight.violations(), 1);
 }

@@ -6,16 +6,20 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "insched/mip/branch_and_bound.hpp"
 #include "insched/scheduler/aggregate_milp.hpp"
 #include "insched/scheduler/greedy.hpp"
 #include "insched/scheduler/params.hpp"
 #include "insched/scheduler/placement.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/scheduler/recommend.hpp"
 #include "insched/scheduler/schedule.hpp"
 #include "insched/scheduler/solver.hpp"
 #include "insched/scheduler/timeexp_milp.hpp"
+#include "insched/scheduler/trajectory.hpp"
 #include "insched/scheduler/validator.hpp"
 #include "insched/support/random.hpp"
 
@@ -197,6 +201,165 @@ TEST(Validator, InactiveAnalysisCostsNothing) {
   EXPECT_TRUE(report.feasible);
   EXPECT_DOUBLE_EQ(report.total_analysis_time, 0.0);
   EXPECT_DOUBLE_EQ(report.peak_memory, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The Eq 2-8 recurrence walker, hand-computed.
+
+/// Two analyses over 6 steps with dyadic costs, so every sum is exact:
+///   a: ft=2 it=0.125 ct=1 ot=0.5  fm=4 im=0.5 cm=2 om=1,  C={2,4}
+///   b: ft=1 it=0.25  ct=3 ot=0.25 fm=8 im=1   cm=4 om=2,  C={3,6}
+ScheduleProblem two_analysis_walk(OutputPolicy policy) {
+  ScheduleProblem p;
+  p.steps = 6;
+  p.threshold_kind = ThresholdKind::kTotalSeconds;
+  p.threshold = 100.0;
+  p.output_policy = policy;
+  AnalysisParams a = simple_analysis("a", 1.0, 0.5, 2);
+  a.ft = 2.0;
+  a.it = 0.125;
+  a.fm = 4.0;
+  a.im = 0.5;
+  a.cm = 2.0;
+  a.om = 1.0;
+  AnalysisParams b = simple_analysis("b", 3.0, 0.25, 3);
+  b.ft = 1.0;
+  b.it = 0.25;
+  b.fm = 8.0;
+  b.im = 1.0;
+  b.cm = 4.0;
+  b.om = 2.0;
+  p.analyses = {a, b};
+  return p;
+}
+
+TEST(RecurrenceWalker, TwoAnalysesOptimizedOutputs) {
+  // O_a={4}, O_b={6}. Per-step seconds: it_a+it_b = 0.375, plus ct_a at
+  // 2 and 4, ot_a at 4, ct_b at 3 and 6, ot_b at 6; setup 3.
+  // Memory a: 4.5, 7, 7.5, 11 (reset to 4), 4.5, 5;
+  //        b: 9, 10, 15, 16, 17, 24 (reset to 8).
+  const ScheduleProblem p = two_analysis_walk(OutputPolicy::kOptimized);
+  const Schedule s(6, {AnalysisSchedule{"a", {2, 4}, {4}}, AnalysisSchedule{"b", {3, 6}, {6}}});
+  recurrence::Walker walker(s);
+  const Trajectory t = record_trajectory(walker, 6, recurrence::NominalCosts{p});
+  EXPECT_EQ(t.setup_seconds, 3.0);
+  EXPECT_EQ(t.analysis_seconds, (std::vector<double>{0.375, 1.375, 3.375, 1.875, 0.375, 3.625}));
+  EXPECT_EQ(t.cumulative_seconds, (std::vector<double>{3.375, 4.75, 8.125, 10.0, 10.375, 14.0}));
+  EXPECT_EQ(t.memory_start, (std::vector<double>{13.5, 17.0, 22.5, 27.0, 21.5, 29.0}));
+  EXPECT_EQ(t.peak_memory, 29.0);
+  EXPECT_EQ(t.peak_memory_step, 6);
+  EXPECT_EQ(walker.memory(0), 5.0);
+  EXPECT_EQ(walker.memory(1), 8.0);  // the step-6 output reset
+  EXPECT_EQ(walker.events(), 2 + 12 + 4 + 2);  // activations, it, ct, ot
+  EXPECT_TRUE(walker.within_budget());
+
+  // The closed-form validator agrees on the total, the walk on the peak.
+  const ValidationReport report = validate_schedule(p, s);
+  EXPECT_TRUE(report.feasible) << (report.violations.empty() ? "" : report.violations[0]);
+  EXPECT_EQ(report.total_analysis_time, 14.0);
+  EXPECT_EQ(report.peak_memory, 29.0);
+  EXPECT_EQ(report.peak_memory_step, 6);
+}
+
+TEST(RecurrenceWalker, TwoAnalysesOutputEveryAnalysis) {
+  // O = C: every analysis step also pays ot/om and resets.
+  // Memory a: 4.5, 8 (reset), 4.5, 8 (reset), 4.5, 5;
+  //        b: 9, 10, 17 (reset), 9, 10, 17 (reset).
+  const ScheduleProblem p = two_analysis_walk(OutputPolicy::kEveryAnalysis);
+  const Schedule s(6, {AnalysisSchedule{"a", {2, 4}, {2, 4}},
+                       AnalysisSchedule{"b", {3, 6}, {3, 6}}});
+  recurrence::Walker walker(s, 21.5);
+  const Trajectory t = record_trajectory(walker, 6, recurrence::NominalCosts{p});
+  EXPECT_EQ(t.analysis_seconds, (std::vector<double>{0.375, 1.875, 3.625, 1.875, 0.375, 3.625}));
+  EXPECT_EQ(t.cumulative_seconds, (std::vector<double>{3.375, 5.25, 8.875, 10.75, 11.125, 14.75}));
+  EXPECT_EQ(t.memory_start, (std::vector<double>{13.5, 18.0, 21.5, 17.0, 14.5, 22.0}));
+  EXPECT_EQ(t.peak_memory, 22.0);
+  EXPECT_EQ(t.peak_memory_step, 6);
+  EXPECT_EQ(walker.events(), 2 + 12 + 4 + 4);
+  // mth = 21.5: step 3 sits exactly on it, step 6 is the one overrun.
+  EXPECT_EQ(walker.violations(), 1);
+
+  const ValidationReport report = validate_schedule(p, s);
+  EXPECT_EQ(report.total_analysis_time, 14.75);
+  EXPECT_EQ(report.peak_memory, 22.0);
+}
+
+TEST(RecurrenceWalker, CostHookSeesTheFixedEventOrder) {
+  // A third, inactive analysis is never asked for a cost.
+  ScheduleProblem p = two_analysis_walk(OutputPolicy::kOptimized);
+  p.analyses.push_back(simple_analysis("idle", 1.0, 1.0, 1));
+  const Schedule s(6, {AnalysisSchedule{"a", {2, 4}, {4}}, AnalysisSchedule{"b", {3, 6}, {6}},
+                       AnalysisSchedule{"idle", {}, {}}});
+  static const char* const kTags[] = {"fm", "im", "cm", "om", "ft", "it", "ct", "ot"};
+  std::string events;
+  const auto tagging = [&](recurrence::Cost kind, std::size_t i) {
+    events += kTags[static_cast<int>(kind)] + std::to_string(i) + ' ';
+    return recurrence::nominal_cost(p, kind, i);
+  };
+  recurrence::Walker walker(s);
+  walker.start(tagging);
+  EXPECT_EQ(events, "fm0 im0 cm0 om0 ft0 fm1 im1 cm1 om1 ft1 ");
+  const std::vector<std::string> want = {
+      "it0 it1 ", "it0 ct0 it1 ", "it0 it1 ct1 ", "it0 ct0 ot0 it1 ", "it0 it1 ",
+      "it0 it1 ct1 ot1 "};
+  for (const std::string& step : want) {
+    events.clear();
+    (void)walker.advance(tagging);
+    EXPECT_EQ(events, step) << "step " << walker.step();
+  }
+}
+
+TEST(RecurrenceWalker, EventLevelChargesTimeAndMemory) {
+  // Analyses 0 and 1 active, 2 never activated: it contributes nothing.
+  recurrence::Walker walker(3, 30.0);
+  walker.activate(0, 4.0, 2.0);
+  walker.activate(1, 8.0, 1.0);
+  EXPECT_EQ(walker.setup_seconds(), 3.0);
+  EXPECT_EQ(walker.cumulative_seconds(), 3.0);
+  EXPECT_EQ(walker.events(), 2);
+
+  walker.charge(0, 0.5, 0.125);
+  walker.charge(0, 2.0, 1.0);
+  walker.charge(0, 1.0, 0.5);
+  walker.charge(1, 1.0, 0.25);
+  EXPECT_EQ(walker.commit(1), 7.5 + 9.0);
+  EXPECT_EQ(walker.step(), 1);
+  EXPECT_EQ(walker.step_seconds(), 1.875);
+  EXPECT_EQ(walker.cumulative_seconds(), 4.875);
+  walker.reset(0);  // Eq 6: back to fm
+  EXPECT_EQ(walker.memory(0), 4.0);
+  EXPECT_EQ(walker.memory(1), 9.0);
+  EXPECT_EQ(walker.memory(2), 0.0);
+
+  walker.charge(1, 22.0);  // 4 + 31 = 35 > mth 30
+  EXPECT_EQ(walker.commit(2), 35.0);
+  EXPECT_EQ(walker.step_seconds(), 0.0);
+  EXPECT_EQ(walker.peak(), 35.0);
+  EXPECT_EQ(walker.peak_step(), 2);
+  EXPECT_EQ(walker.violations(), 1);
+  EXPECT_FALSE(walker.within_budget());
+  EXPECT_EQ(walker.events(), 7);
+}
+
+TEST(ScheduleType, DefectNamesEachBrokenInvariant) {
+  EXPECT_EQ(schedule_defect(8, {AnalysisSchedule{"a", {2, 6}, {6}}}), "");
+  EXPECT_NE(schedule_defect(-1, {}), "");
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {2, 2, 6}, {}}})
+                .find("analysis steps are not strictly increasing"),
+            std::string::npos);
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {6, 2}, {}}})
+                .find("analysis steps are not strictly increasing"),
+            std::string::npos);
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {2, 6}, {6, 6}}})
+                .find("output steps are not strictly increasing"),
+            std::string::npos);
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {0, 6}, {}}}).find("leave [1, 8]"),
+            std::string::npos);
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {2, 9}, {}}}).find("leave [1, 8]"),
+            std::string::npos);
+  EXPECT_NE(schedule_defect(8, {AnalysisSchedule{"a", {2, 6}, {4}}})
+                .find("output step is not an analysis step"),
+            std::string::npos);
 }
 
 TEST(Placement, EvenSpacingRespectsInterval) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "insched/scheduler/cost_database.hpp"
 #include "insched/scheduler/serialize.hpp"
 #include "insched/scheduler/solver.hpp"
@@ -61,6 +63,20 @@ TEST(ScheduleJson, RejectsMalformedInput) {
   EXPECT_THROW((void)schedule_from_json("not json"), std::runtime_error);
   EXPECT_THROW((void)schedule_from_json("{\"steps\":5"), std::runtime_error);
   EXPECT_THROW((void)schedule_from_json("{\"bogus\":1}"), std::runtime_error);
+  // Well-formed JSON whose step lists break the Schedule invariant throws
+  // too, instead of reaching the constructor's precondition.
+  const auto one = [](const char* steps, const char* outputs) {
+    return std::string("{\"steps\":8,\"analyses\":[{\"name\":\"a\",\"analysis_steps\":") +
+           steps + ",\"output_steps\":" + outputs + "}]}";
+  };
+  EXPECT_NO_THROW((void)schedule_from_json(one("[2,5]", "[5]")));
+  EXPECT_THROW((void)schedule_from_json(one("[5,2]", "[]")), std::runtime_error);    // unsorted
+  EXPECT_THROW((void)schedule_from_json(one("[2,2,6]", "[]")), std::runtime_error);  // duplicate
+  EXPECT_THROW((void)schedule_from_json(one("[2,6]", "[6,6]")), std::runtime_error);
+  EXPECT_THROW((void)schedule_from_json(one("[0,5]", "[]")), std::runtime_error);    // below 1
+  EXPECT_THROW((void)schedule_from_json(one("[2,9]", "[]")), std::runtime_error);    // past steps
+  EXPECT_THROW((void)schedule_from_json(one("[2,5]", "[3]")), std::runtime_error);   // O not in C
+  EXPECT_THROW((void)schedule_from_json("{\"steps\":-1,\"analyses\":[]}"), std::runtime_error);
 }
 
 TEST(SolutionJson, CarriesSolverResults) {

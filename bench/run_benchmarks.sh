@@ -37,15 +37,22 @@
 # bench/out/BENCH_quick.json so the checked-in BENCH_solver.json is never
 # overwritten by a smoke run.
 #
-# The interesting comparisons: BM_schedule_*_config speedups plus the
-# factor_peak_bytes / factor_dense_equiv_bytes counters (sparse-LU PR), and
-# the `nodes` / `objective` counters of the staircase rows at cuts:0 vs
-# cuts:1 (cutting-plane PR — the >=2x node-reduction gate).
+# Every BM_schedule_*_config and *_staircase_config row records each
+# mip::MipCounters field under its own name (the kMipCounterFields table),
+# plus lp_rhs_density / lp_fill_ratio / lp_staircase_hit_rate and
+# recoveries. The interesting comparisons: BM_schedule_*_config speedups
+# plus the factor_cache_peak_bytes / factor_cache_peak_dense_bytes counters
+# (sparse LU kernel), and the `nodes` / `objective` counters of the
+# staircase rows at cuts:0 vs cuts:1 (cutting-plane engine — the >=2x
+# node-reduction gate). Older BENCH files, the checked-in BENCH_solver.json
+# among them, spell lp_refactorizations, factor_cache_peak_bytes and
+# factor_cache_peak_dense_bytes as lp_refactors, factor_peak_bytes and
+# factor_dense_equiv_bytes.
 #
-# The staircase rows also record the recovery-ladder counters (`recoveries`,
-# `lp_recover_*`, `node_retries`, `root_retries` — docs/ROBUSTNESS.md) into
-# the JSON: all zero on a healthy build, so a nonzero value in a fresh
-# BENCH_solver.json means the solver is silently fighting numerical trouble.
+# The recovery-ladder counters (`recoveries`, `lp_recover_*`,
+# `node_retries`, `root_retries` — docs/ROBUSTNESS.md) are all zero on a
+# healthy build, so a nonzero value in a fresh BENCH_solver.json means the
+# solver is silently fighting numerical trouble.
 
 set -euo pipefail
 

@@ -35,6 +35,19 @@ lp::Model random_lp(int vars, int rows, std::uint64_t seed) {
   return m;
 }
 
+// Every MipCounters field under its own name, from the one field table,
+// plus the derived ratios and the recovery total. Recovery actions
+// (docs/ROBUSTNESS.md) are all zero on a healthy run, so any drift there
+// flags a numerical regression before it costs accuracy.
+void emit_counters(benchmark::State& state, const mip::MipCounters& counters) {
+  for (const mip::CounterField& field : mip::kMipCounterFields)
+    state.counters[field.name] = static_cast<double>(counters.*field.member);
+  state.counters["lp_rhs_density"] = counters.lp_rhs_density();
+  state.counters["lp_fill_ratio"] = counters.lp_fill_ratio();
+  state.counters["lp_staircase_hit_rate"] = counters.lp_staircase_hit_rate();
+  state.counters["recoveries"] = static_cast<double>(counters.recoveries());
+}
+
 void BM_simplex_dense(benchmark::State& state) {
   const auto vars = static_cast<int>(state.range(0));
   const lp::Model m = random_lp(vars, vars / 2, 7);
@@ -111,18 +124,9 @@ void BM_schedule_config(benchmark::State& state, const scheduler::ScheduleProble
     benchmark::DoNotOptimize(sol.objective);
   }
   state.counters["objective"] = objective;
-  // Basis-factorization observability of the last solve: FTRAN/BTRAN call
-  // counts, right-hand-side density, eta/refactorization volume, and the
-  // factor-cache footprint vs what dense inverse snapshots would have cost.
-  state.counters["lp_ftran"] = static_cast<double>(counters.lp_ftran);
-  state.counters["lp_btran"] = static_cast<double>(counters.lp_btran);
-  state.counters["lp_refactors"] = static_cast<double>(counters.lp_refactorizations);
-  state.counters["lp_eta_pivots"] = static_cast<double>(counters.lp_eta_pivots);
-  state.counters["lp_rhs_density"] = counters.lp_rhs_density();
-  state.counters["factor_peak_bytes"] =
-      static_cast<double>(counters.factor_cache_peak_bytes);
-  state.counters["factor_dense_equiv_bytes"] =
-      static_cast<double>(counters.factor_cache_peak_dense_bytes);
+  // Counters of the last solve, among them the factor-cache footprint vs
+  // what dense inverse snapshots would have cost.
+  emit_counters(state, counters);
 }
 
 void BM_schedule_water_config(benchmark::State& state) {
@@ -241,48 +245,13 @@ void run_staircase_mip(benchmark::State& state, scheduler::ScheduleProblem p,
   state.counters["best_bound"] = res.best_bound;
   state.counters["nodes"] = static_cast<double>(res.nodes);
   state.counters["proved_optimal"] = res.optimal() ? 1.0 : 0.0;
-  state.counters["cuts_separated"] = static_cast<double>(res.counters.cuts_separated);
-  state.counters["cuts_applied"] = static_cast<double>(res.counters.cuts_applied);
-  state.counters["tree_restarts"] = static_cast<double>(res.counters.tree_restarts);
-  state.counters["probing_fixed"] = static_cast<double>(res.counters.probing_fixed);
-  state.counters["probing_implications"] =
-      static_cast<double>(res.counters.probing_implications);
-  state.counters["strong_branch_lps"] =
-      static_cast<double>(res.counters.strong_branch_lps);
-  // Basis-factorization observability of the staircase LU kernel, summed
-  // over every node/heuristic LP of the last solve.
-  state.counters["lp_ftran"] = static_cast<double>(res.counters.lp_ftran);
-  state.counters["lp_btran"] = static_cast<double>(res.counters.lp_btran);
-  state.counters["lp_refactors"] =
-      static_cast<double>(res.counters.lp_refactorizations);
-  state.counters["lp_eta_pivots"] = static_cast<double>(res.counters.lp_eta_pivots);
-  state.counters["lp_rhs_density"] = res.counters.lp_rhs_density();
-  // Staircase fast path (docs/FORMULATION.md): LU fill per input nonzero,
-  // static pre-order hit rate, dense-mode FTRAN/BTRAN traffic, crash-basis
-  // and extended-basis (cut round) warm starts, and whether the SIMD
-  // annotations were live in this build.
-  state.counters["lp_fill_ratio"] = res.counters.lp_fill_ratio();
-  state.counters["lp_staircase_hit_rate"] = res.counters.lp_staircase_hit_rate();
-  state.counters["lp_ftran_dense"] = static_cast<double>(res.counters.lp_ftran_dense);
-  state.counters["lp_btran_dense"] = static_cast<double>(res.counters.lp_btran_dense);
-  state.counters["crash_warm"] = static_cast<double>(res.counters.crash_warm);
-  state.counters["cut_warm"] = static_cast<double>(res.counters.cut_warm);
+  // Counters of the last solve: cut/probing/strong-branch activity, the
+  // staircase LU kernel (fill per input nonzero, static pre-order hit rate,
+  // dense-mode FTRAN/BTRAN traffic), crash-basis and cut-round warm starts,
+  // and the recovery ladder; plus whether the SIMD annotations were live in
+  // this build.
+  emit_counters(state, res.counters);
   state.counters["simd_enabled"] = insched::support::simd_enabled() ? 1.0 : 0.0;
-  // Recovery-ladder actions (docs/ROBUSTNESS.md): all zero on a healthy run,
-  // so any drift here flags a numerical regression before it costs accuracy.
-  state.counters["recoveries"] = static_cast<double>(res.counters.recoveries());
-  state.counters["lp_recover_refactor"] =
-      static_cast<double>(res.counters.lp_recover_refactor);
-  state.counters["lp_recover_repair"] =
-      static_cast<double>(res.counters.lp_recover_repair);
-  state.counters["lp_recover_perturb"] =
-      static_cast<double>(res.counters.lp_recover_perturb);
-  state.counters["lp_recover_residual"] =
-      static_cast<double>(res.counters.lp_recover_residual);
-  state.counters["lp_recover_resolve"] =
-      static_cast<double>(res.counters.lp_recover_resolve);
-  state.counters["node_retries"] = static_cast<double>(res.counters.node_retries);
-  state.counters["root_retries"] = static_cast<double>(res.counters.root_retries);
 }
 
 void BM_schedule_water_staircase_config(benchmark::State& state) {

@@ -171,20 +171,6 @@ struct FactorStats {
                                    static_cast<double>(rhs_dimension)
                              : 0.0;
   }
-  /// LU fill-in: factor nonzeros per input nonzero (>= 1 in practice; the
-  /// staircase pre-order exists to keep this near 1).
-  [[nodiscard]] double fill_ratio() const noexcept {
-    return lu_input_nnz > 0 ? static_cast<double>(lu_factor_nnz) /
-                                  static_cast<double>(lu_input_nnz)
-                            : 0.0;
-  }
-  /// Fraction of factorizations that ran with the static staircase ordering.
-  [[nodiscard]] double staircase_hit_rate() const noexcept {
-    const long total = staircase_orderings + staircase_fallbacks;
-    return total > 0 ? static_cast<double>(staircase_orderings) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
 /// Mutable factorization state of one simplex engine: LU core + eta file +

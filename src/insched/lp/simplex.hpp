@@ -97,14 +97,6 @@ struct RecoveryStats {
     return refactor_tightened + singular_repairs + perturbations + residual_failures +
            resolves;
   }
-  void add(const RecoveryStats& other) noexcept {
-    refactor_tightened += other.refactor_tightened;
-    singular_repairs += other.singular_repairs;
-    perturbations += other.perturbations;
-    cleanups += other.cleanups;
-    residual_failures += other.residual_failures;
-    resolves += other.resolves;
-  }
 };
 
 struct SimplexResult {

@@ -54,6 +54,15 @@ double MipResult::gap_rel() const noexcept {
   return g / std::max(1.0, std::fabs(objective));
 }
 
+MipCounters& MipCounters::operator+=(const MipCounters& other) noexcept {
+  for (const CounterField& f : kMipCounterFields) {
+    long& mine = this->*f.member;
+    const long theirs = other.*f.member;
+    mine = f.merge == CounterMerge::kMax ? std::max(mine, theirs) : mine + theirs;
+  }
+  return *this;
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -188,55 +197,41 @@ class Search {
   std::atomic<long> lp_iterations_{0};
   std::atomic<long> next_id_{1};
   std::atomic<int> cause_{static_cast<int>(Cause::kNone)};
-  std::atomic<long> warm_solves_{0}, cold_solves_{0}, warm_failures_{0};
-  std::atomic<long> factor_hits_{0}, factor_misses_{0};
-  std::atomic<long> heur_warm_{0}, heur_warm_failed_{0};
-  std::atomic<long> steals_{0};
-  std::atomic<long> sb_lps_{0};
-  // FTRAN/BTRAN/eta observability summed over every LP solve in the search.
-  std::atomic<long> lp_ftran_{0}, lp_btran_{0}, lp_refactor_{0}, lp_eta_{0};
-  std::atomic<long> lp_rhs_nnz_{0}, lp_rhs_dim_{0};
-  std::atomic<long> lp_lu_in_{0}, lp_lu_out_{0};
-  std::atomic<long> lp_stair_hit_{0}, lp_stair_miss_{0};
-  std::atomic<long> lp_ftran_dense_{0}, lp_btran_dense_{0};
-  // Root-phase warm-start counters; the root LP and cut rounds run on the
-  // coordinating thread only, so plain longs are race-free.
-  long crash_warm_ = 0, crash_failed_ = 0;
-  long cut_warm_ = 0, cut_warm_failed_ = 0;
-  // Cross-solve warm-state counters (root phase + seeding, coordinator only).
-  long shared_basis_warm_ = 0, shared_basis_failed_ = 0;
-  bool pc_seeded_ = false;
-  // Recovery-ladder counters summed over the same solves, plus tree retries.
-  std::atomic<long> rec_refactor_{0}, rec_repair_{0}, rec_perturb_{0};
-  std::atomic<long> rec_residual_{0}, rec_resolve_{0};
-  std::atomic<long> node_retries_{0}, root_retries_{0};
+  // The search's own tally. Workers bump it concurrently through bump();
+  // nothing reads it until the workers have joined, when finalize() and the
+  // root bail take their snapshot. The steals, pc_merges, cut-pool,
+  // factor-cache and restart fields are copied from their owners once the
+  // workers have joined.
+  MipCounters counters_;
 
-  void add_factor_stats(const lp::FactorStats& fs) {
-    lp_ftran_.fetch_add(fs.ftran_calls, std::memory_order_relaxed);
-    lp_btran_.fetch_add(fs.btran_calls, std::memory_order_relaxed);
-    lp_refactor_.fetch_add(fs.refactorizations, std::memory_order_relaxed);
-    lp_eta_.fetch_add(fs.eta_pivots, std::memory_order_relaxed);
-    lp_rhs_nnz_.fetch_add(fs.rhs_nonzeros, std::memory_order_relaxed);
-    lp_rhs_dim_.fetch_add(fs.rhs_dimension, std::memory_order_relaxed);
-    lp_lu_in_.fetch_add(fs.lu_input_nnz, std::memory_order_relaxed);
-    lp_lu_out_.fetch_add(fs.lu_factor_nnz, std::memory_order_relaxed);
-    lp_stair_hit_.fetch_add(fs.staircase_orderings, std::memory_order_relaxed);
-    lp_stair_miss_.fetch_add(fs.staircase_fallbacks, std::memory_order_relaxed);
-    lp_ftran_dense_.fetch_add(fs.ftran_dense, std::memory_order_relaxed);
-    lp_btran_dense_.fetch_add(fs.btran_dense, std::memory_order_relaxed);
+  static_assert(std::atomic_ref<long>::required_alignment <= alignof(long));
+  void bump(long MipCounters::*field, long by = 1) noexcept {
+    std::atomic_ref<long>(counters_.*field).fetch_add(by, std::memory_order_relaxed);
   }
 
   /// Accumulates everything observable from one LP solve: factorization
   /// stats plus any recovery-ladder rungs the engine had to take.
   void add_lp_stats(const lp::SimplexResult& res) {
-    add_factor_stats(res.factor_stats);
+    const lp::FactorStats& fs = res.factor_stats;
+    bump(&MipCounters::lp_ftran, fs.ftran_calls);
+    bump(&MipCounters::lp_btran, fs.btran_calls);
+    bump(&MipCounters::lp_refactorizations, fs.refactorizations);
+    bump(&MipCounters::lp_eta_pivots, fs.eta_pivots);
+    bump(&MipCounters::lp_rhs_nonzeros, fs.rhs_nonzeros);
+    bump(&MipCounters::lp_rhs_dimension, fs.rhs_dimension);
+    bump(&MipCounters::lp_lu_input_nnz, fs.lu_input_nnz);
+    bump(&MipCounters::lp_lu_factor_nnz, fs.lu_factor_nnz);
+    bump(&MipCounters::lp_staircase_orderings, fs.staircase_orderings);
+    bump(&MipCounters::lp_staircase_fallbacks, fs.staircase_fallbacks);
+    bump(&MipCounters::lp_ftran_dense, fs.ftran_dense);
+    bump(&MipCounters::lp_btran_dense, fs.btran_dense);
     const lp::RecoveryStats& rc = res.recovery;
     if (rc.total() == 0) return;
-    rec_refactor_.fetch_add(rc.refactor_tightened, std::memory_order_relaxed);
-    rec_repair_.fetch_add(rc.singular_repairs, std::memory_order_relaxed);
-    rec_perturb_.fetch_add(rc.perturbations, std::memory_order_relaxed);
-    rec_residual_.fetch_add(rc.residual_failures, std::memory_order_relaxed);
-    rec_resolve_.fetch_add(rc.resolves, std::memory_order_relaxed);
+    bump(&MipCounters::lp_recover_refactor, rc.refactor_tightened);
+    bump(&MipCounters::lp_recover_repair, rc.singular_repairs);
+    bump(&MipCounters::lp_recover_perturb, rc.perturbations);
+    bump(&MipCounters::lp_recover_residual, rc.residual_failures);
+    bump(&MipCounters::lp_recover_resolve, rc.resolves);
   }
 
   [[nodiscard]] bool work_limit_hit() const noexcept {
@@ -339,7 +334,7 @@ int Search::pick_branch_var(const SearchNode& node, const std::vector<double>& x
                              double estimate) -> double {
         std::vector<lp::BoundOverride> ov = node.bounds;
         ov.push_back({c.j, clo, chi});
-        sb_lps_.fetch_add(1, std::memory_order_relaxed);
+        bump(&MipCounters::strong_branch_lps);
         const lp::SimplexResult res = sb_ws->solve_dual(ov, *basis, hint);
         add_lp_stats(res);
         lp_iterations_.fetch_add(res.iterations, std::memory_order_relaxed);
@@ -429,11 +424,11 @@ std::optional<std::vector<double>> Search::warm_round_and_fix(
   }
   if (!any_integer) return xrel;
 
-  heur_warm_.fetch_add(1, std::memory_order_relaxed);
+  bump(&MipCounters::heur_warm);
   const lp::SimplexResult res = ws.solve_dual(overrides, basis, hint);
   add_lp_stats(res);
   if (!res.optimal()) {
-    heur_warm_failed_.fetch_add(1, std::memory_order_relaxed);
+    bump(&MipCounters::heur_warm_failed);
     return std::nullopt;
   }
   std::vector<double> x = res.x;
@@ -546,8 +541,7 @@ void Search::node_heuristic(lp::WarmSimplex* heur_ws, const SearchNode& node,
 lp::SimplexResult Search::solve_node(lp::WarmSimplex& ws, const SearchNode& node,
                                      const lp::Factorization* hint) {
   if (opt_.warm_start && node.warm_basis && !node.warm_basis->empty()) {
-    if (hint) factor_hits_.fetch_add(1, std::memory_order_relaxed);
-    else factor_misses_.fetch_add(1, std::memory_order_relaxed);
+    bump(hint ? &MipCounters::factor_hits : &MipCounters::factor_misses);
     lp::SimplexResult res = ws.solve_dual(node.bounds, *node.warm_basis, hint);
     add_lp_stats(res);
     // Optimal outcomes are residual-checked and infeasibility proofs are
@@ -556,12 +550,12 @@ lp::SimplexResult Search::solve_node(lp::WarmSimplex& ws, const SearchNode& node
     // the product-form hint has drifted. Anything else falls back cold.
     if (res.status == lp::SolveStatus::kOptimal ||
         res.status == lp::SolveStatus::kInfeasible) {
-      warm_solves_.fetch_add(1, std::memory_order_relaxed);
+      bump(&MipCounters::warm_solves);
       return res;
     }
-    warm_failures_.fetch_add(1, std::memory_order_relaxed);
+    bump(&MipCounters::warm_failures);
   }
-  cold_solves_.fetch_add(1, std::memory_order_relaxed);
+  bump(&MipCounters::cold_solves);
   lp::SimplexResult cold = ws.solve_cold(node.bounds);
   add_lp_stats(cold);
   if (cold.status != lp::SolveStatus::kNumericalFailure || !opt_.lp.enable_recovery)
@@ -573,7 +567,7 @@ lp::SimplexResult Search::solve_node(lp::WarmSimplex& ws, const SearchNode& node
   // from scratch on a throwaway workspace with conservative settings — full
   // Dantzig pricing, frequent refactorization — before dropping the node
   // (dropping an unsolved node silently weakens the optimality proof).
-  node_retries_.fetch_add(1, std::memory_order_relaxed);
+  bump(&MipCounters::node_retries);
   lp::SimplexOptions careful = opt_.lp;
   careful.collect_basis = true;
   careful.want_duals = false;
@@ -778,10 +772,9 @@ void Search::run_async(int threads, NodePtr root_node) {
     // the same candidates the previous request already probed.
     if (std::optional<PseudoCostTable> seed = opt_.warm_state->pseudo_costs(n_)) {
       shared_pc_->merge(&*seed, nullptr);
-      pc_seeded_ = true;
+      counters_.pc_seeded = 1;
     }
   }
-  long total_steals = 0;
   for (;;) {
     // A cut-and-branch restart discards the previous tree wholesale, so the
     // pool and the factorization cache (whose factors are bound to the
@@ -794,7 +787,7 @@ void Search::run_async(int threads, NodePtr root_node) {
 
     insched::parallel_run(threads, [this](int tid) { async_worker(tid); });
 
-    total_steals += pool_->steals();
+    counters_.steals += pool_->steals();
     const bool limit =
         cause_.load(std::memory_order_relaxed) != static_cast<int>(Cause::kNone);
     if (!limit && restart_requested_.load(std::memory_order_relaxed)) {
@@ -809,8 +802,7 @@ void Search::run_async(int threads, NodePtr root_node) {
     }
     break;
   }
-  steals_.store(total_steals, std::memory_order_relaxed);
-  result_.counters.pc_merges = shared_pc_->merges();
+  counters_.pc_merges = shared_pc_->merges();
   if (opt_.warm_state) opt_.warm_state->publish_pseudo_costs(shared_pc_->snapshot());
   if (opt_.collect_resolve_artifacts) resolve_pc_ = shared_pc_->snapshot();
   trunc_open_bound_ = pool_->best_open_bound();
@@ -827,7 +819,7 @@ void Search::run_deterministic(int threads, NodePtr root_node) {
   if (opt_.warm_state) {
     if (std::optional<PseudoCostTable> seed = opt_.warm_state->pseudo_costs(n_)) {
       pc = std::move(*seed);
-      pc_seeded_ = true;
+      counters_.pc_seeded = 1;
     }
   }
   auto alloc_id = [&next_id_local] { return next_id_local++; };
@@ -928,54 +920,20 @@ void Search::finalize(bool proved) {
 
   result_.nodes = nodes_.load(std::memory_order_relaxed);
   result_.lp_iterations = lp_iterations_.load(std::memory_order_relaxed);
-  result_.counters.warm_solves = warm_solves_.load(std::memory_order_relaxed);
-  result_.counters.cold_solves = cold_solves_.load(std::memory_order_relaxed);
-  result_.counters.warm_failures = warm_failures_.load(std::memory_order_relaxed);
-  result_.counters.factor_hits = factor_hits_.load(std::memory_order_relaxed);
-  result_.counters.factor_misses = factor_misses_.load(std::memory_order_relaxed);
-  result_.counters.heur_warm = heur_warm_.load(std::memory_order_relaxed);
-  result_.counters.heur_warm_failed = heur_warm_failed_.load(std::memory_order_relaxed);
-  result_.counters.steals = steals_.load(std::memory_order_relaxed);
-  result_.counters.lp_ftran = lp_ftran_.load(std::memory_order_relaxed);
-  result_.counters.lp_btran = lp_btran_.load(std::memory_order_relaxed);
-  result_.counters.lp_refactorizations = lp_refactor_.load(std::memory_order_relaxed);
-  result_.counters.lp_eta_pivots = lp_eta_.load(std::memory_order_relaxed);
-  result_.counters.lp_rhs_nonzeros = lp_rhs_nnz_.load(std::memory_order_relaxed);
-  result_.counters.lp_rhs_dimension = lp_rhs_dim_.load(std::memory_order_relaxed);
-  result_.counters.lp_lu_input_nnz = lp_lu_in_.load(std::memory_order_relaxed);
-  result_.counters.lp_lu_factor_nnz = lp_lu_out_.load(std::memory_order_relaxed);
-  result_.counters.lp_staircase_orderings = lp_stair_hit_.load(std::memory_order_relaxed);
-  result_.counters.lp_staircase_fallbacks = lp_stair_miss_.load(std::memory_order_relaxed);
-  result_.counters.lp_ftran_dense = lp_ftran_dense_.load(std::memory_order_relaxed);
-  result_.counters.lp_btran_dense = lp_btran_dense_.load(std::memory_order_relaxed);
-  result_.counters.crash_warm = crash_warm_;
-  result_.counters.crash_failed = crash_failed_;
-  result_.counters.cut_warm = cut_warm_;
-  result_.counters.cut_warm_failed = cut_warm_failed_;
-  result_.counters.shared_basis_warm = shared_basis_warm_;
-  result_.counters.shared_basis_failed = shared_basis_failed_;
-  result_.counters.pc_seeded = pc_seeded_ ? 1 : 0;
   if (cache_) {
-    result_.counters.factor_cache_peak_bytes = cache_->peak_bytes();
-    result_.counters.factor_cache_peak_dense_bytes = cache_->peak_dense_bytes();
+    counters_.factor_cache_peak_bytes = static_cast<long>(cache_->peak_bytes());
+    counters_.factor_cache_peak_dense_bytes = static_cast<long>(cache_->peak_dense_bytes());
   }
   if (cut_pool_) {
     const CutPoolCounters cc = cut_pool_->counters();
-    result_.counters.cuts_separated = cc.separated;
-    result_.counters.cuts_applied = cc.applied;
-    result_.counters.cuts_aged = cc.aged_out;
-    result_.counters.cuts_duplicate = cc.duplicates;
-    result_.counters.cuts_evicted = cc.evicted;
+    counters_.cuts_separated = cc.separated;
+    counters_.cuts_applied = cc.applied;
+    counters_.cuts_aged = cc.aged_out;
+    counters_.cuts_duplicate = cc.duplicates;
+    counters_.cuts_evicted = cc.evicted;
   }
-  result_.counters.tree_restarts = restarts_done_;
-  result_.counters.strong_branch_lps = sb_lps_.load(std::memory_order_relaxed);
-  result_.counters.lp_recover_refactor = rec_refactor_.load(std::memory_order_relaxed);
-  result_.counters.lp_recover_repair = rec_repair_.load(std::memory_order_relaxed);
-  result_.counters.lp_recover_perturb = rec_perturb_.load(std::memory_order_relaxed);
-  result_.counters.lp_recover_residual = rec_residual_.load(std::memory_order_relaxed);
-  result_.counters.lp_recover_resolve = rec_resolve_.load(std::memory_order_relaxed);
-  result_.counters.node_retries = node_retries_.load(std::memory_order_relaxed);
-  result_.counters.root_retries = root_retries_.load(std::memory_order_relaxed);
+  counters_.tree_restarts = restarts_done_;
+  result_.counters = counters_;
 
   result_.has_solution = have_inc;
   if (have_inc) {
@@ -1040,8 +998,7 @@ bool Search::apply_cuts(const std::vector<Cut>& cuts, lp::SimplexResult* root) {
     lp_iterations_.fetch_add(res.iterations, std::memory_order_relaxed);
     add_lp_stats(res);
     solved = res.optimal();
-    if (solved) ++cut_warm_;
-    else ++cut_warm_failed_;
+    bump(solved ? &MipCounters::cut_warm : &MipCounters::cut_warm_failed);
   }
   if (!solved) {
     res = lp::solve_lp(trial, root_lp);
@@ -1103,7 +1060,7 @@ bool Search::separate_root(lp::SimplexResult* root) {
   cut_pool_->add_all(mir_batch);
   cut_pool_->add_all(gomory_batch);
   // The Gomory separator's tableau BTRANs happen outside any simplex solve.
-  lp_btran_.fetch_add(btrans, std::memory_order_relaxed);
+  bump(&MipCounters::lp_btran, btrans);
   const std::vector<Cut> selected =
       cut_pool_->select(root->x, std::max(1, opt_.max_root_cuts_per_round),
                         opt_.cut_min_violation, opt_.cut_max_parallel);
@@ -1206,8 +1163,7 @@ MipResult Search::run() {
       lp_iterations_.fetch_add(root.iterations, std::memory_order_relaxed);
       add_lp_stats(root);
       root_solved = root.optimal();
-      if (root_solved) ++shared_basis_warm_;
-      else ++shared_basis_failed_;
+      bump(root_solved ? &MipCounters::shared_basis_warm : &MipCounters::shared_basis_failed);
     }
   }
   if (!root_solved && opt_.use_crash_basis) {
@@ -1230,8 +1186,7 @@ MipResult Search::run() {
       lp_iterations_.fetch_add(root.iterations, std::memory_order_relaxed);
       add_lp_stats(root);
       root_solved = root.optimal();
-      if (root_solved) ++crash_warm_;
-      else ++crash_failed_;
+      bump(root_solved ? &MipCounters::crash_warm : &MipCounters::crash_failed);
     }
   }
   if (!root_solved) {
@@ -1243,7 +1198,7 @@ MipResult Search::run() {
     // The engine's own ladder is exhausted; one conservative re-solve (full
     // Dantzig pricing, frequent refactorization) before giving up on the
     // whole MILP — everything downstream depends on this one LP.
-    root_retries_.fetch_add(1, std::memory_order_relaxed);
+    bump(&MipCounters::root_retries);
     lp::SimplexOptions careful = root_lp;
     careful.price_block_size = 0;
     careful.refactor_interval = 32;
@@ -1255,12 +1210,7 @@ MipResult Search::run() {
     result_.status = status;
     result_.termination = termination;
     result_.lp_iterations = lp_iterations_.load(std::memory_order_relaxed);
-    result_.counters.lp_recover_refactor = rec_refactor_.load(std::memory_order_relaxed);
-    result_.counters.lp_recover_repair = rec_repair_.load(std::memory_order_relaxed);
-    result_.counters.lp_recover_perturb = rec_perturb_.load(std::memory_order_relaxed);
-    result_.counters.lp_recover_residual = rec_residual_.load(std::memory_order_relaxed);
-    result_.counters.lp_recover_resolve = rec_resolve_.load(std::memory_order_relaxed);
-    result_.counters.root_retries = root_retries_.load(std::memory_order_relaxed);
+    result_.counters = counters_;
     result_.solve_seconds = elapsed_s();
     return result_;
   };
@@ -1498,22 +1448,14 @@ MipResult solve_mip(const lp::Model& model, const MipOptions& options) {
   if (!work.has_integers()) {
     // Probing fixed every integer: what is left is a pure LP.
     MipResult out = solve_mip(work, inner);
-    out.counters.probing_probes = probing_counters.probing_probes;
-    out.counters.probing_fixed = probing_counters.probing_fixed;
-    out.counters.probing_aggregated = probing_counters.probing_aggregated;
-    out.counters.probing_implications = probing_counters.probing_implications;
-    out.counters.probing_tightened = probing_counters.probing_tightened;
+    out.counters += probing_counters;
     restore_through(out);
     return out;
   }
 
   Search solver(work, inner, std::move(implications));
   MipResult out = solver.run();
-  out.counters.probing_probes = probing_counters.probing_probes;
-  out.counters.probing_fixed = probing_counters.probing_fixed;
-  out.counters.probing_aggregated = probing_counters.probing_aggregated;
-  out.counters.probing_implications = probing_counters.probing_implications;
-  out.counters.probing_tightened = probing_counters.probing_tightened;
+  out.counters += probing_counters;
   restore_through(out);
   return out;
 }

@@ -17,6 +17,7 @@
 // optima, not approximations).
 
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,7 +202,9 @@ struct MipOptions {
   lp::SimplexOptions lp;
 };
 
-/// Per-phase search counters surfaced for benchmarks and tuning.
+/// Per-phase search counters surfaced for benchmarks and tuning. Every field
+/// is a `long` with a row in `kMipCounterFields` below; merging, snapshots
+/// and the emitters iterate that table instead of naming fields.
 struct MipCounters {
   long warm_solves = 0;      ///< node LPs finished by the warm dual path
   long cold_solves = 0;      ///< node LPs solved from a cold primal start
@@ -272,9 +275,9 @@ struct MipCounters {
   long lp_ftran_dense = 0;       ///< FTRAN solves routed through the dense-mode kernel
   long lp_btran_dense = 0;       ///< BTRAN solves routed through the dense-mode kernel
   /// Peak resident bytes of the factorization LRU cache (LU + eta format).
-  std::size_t factor_cache_peak_bytes = 0;
+  long factor_cache_peak_bytes = 0;
   /// Same peak population priced as dense m x m inverses (pre-LU format).
-  std::size_t factor_cache_peak_dense_bytes = 0;
+  long factor_cache_peak_dense_bytes = 0;
 
   /// Average FTRAN/BTRAN right-hand-side density over the whole search.
   [[nodiscard]] double lp_rhs_density() const noexcept {
@@ -295,7 +298,82 @@ struct MipCounters {
                            static_cast<double>(total)
                      : 0.0;
   }
+
+  /// Merges another record field by field through `kMipCounterFields`:
+  /// counts add, peaks take the maximum. Lexicographic tiers and the
+  /// probing presolve fold their work into one record this way.
+  MipCounters& operator+=(const MipCounters& other) noexcept;
 };
+
+/// How a counter combines when two records merge.
+enum class CounterMerge { kSum, kMax };
+
+/// One row of the counter table: the field's name as emitters print it, the
+/// member it reads, and how it merges.
+struct CounterField {
+  const char* name;
+  long MipCounters::*member;
+  CounterMerge merge;
+};
+
+/// Every MipCounters field, in declaration order. Each name is spelled as
+/// the member is, so a bench key or probe line names the field it shows.
+inline constexpr CounterField kMipCounterFields[] = {
+    {"warm_solves", &MipCounters::warm_solves, CounterMerge::kSum},
+    {"cold_solves", &MipCounters::cold_solves, CounterMerge::kSum},
+    {"warm_failures", &MipCounters::warm_failures, CounterMerge::kSum},
+    {"steals", &MipCounters::steals, CounterMerge::kSum},
+    {"factor_hits", &MipCounters::factor_hits, CounterMerge::kSum},
+    {"factor_misses", &MipCounters::factor_misses, CounterMerge::kSum},
+    {"pc_merges", &MipCounters::pc_merges, CounterMerge::kSum},
+    {"heur_warm", &MipCounters::heur_warm, CounterMerge::kSum},
+    {"heur_warm_failed", &MipCounters::heur_warm_failed, CounterMerge::kSum},
+    {"crash_warm", &MipCounters::crash_warm, CounterMerge::kSum},
+    {"crash_failed", &MipCounters::crash_failed, CounterMerge::kSum},
+    {"shared_basis_warm", &MipCounters::shared_basis_warm, CounterMerge::kSum},
+    {"shared_basis_failed", &MipCounters::shared_basis_failed, CounterMerge::kSum},
+    {"pc_seeded", &MipCounters::pc_seeded, CounterMerge::kSum},
+    {"cut_warm", &MipCounters::cut_warm, CounterMerge::kSum},
+    {"cut_warm_failed", &MipCounters::cut_warm_failed, CounterMerge::kSum},
+    {"cuts_separated", &MipCounters::cuts_separated, CounterMerge::kSum},
+    {"cuts_applied", &MipCounters::cuts_applied, CounterMerge::kSum},
+    {"cuts_aged", &MipCounters::cuts_aged, CounterMerge::kSum},
+    {"cuts_duplicate", &MipCounters::cuts_duplicate, CounterMerge::kSum},
+    {"cuts_evicted", &MipCounters::cuts_evicted, CounterMerge::kSum},
+    {"tree_restarts", &MipCounters::tree_restarts, CounterMerge::kSum},
+    {"lp_recover_refactor", &MipCounters::lp_recover_refactor, CounterMerge::kSum},
+    {"lp_recover_repair", &MipCounters::lp_recover_repair, CounterMerge::kSum},
+    {"lp_recover_perturb", &MipCounters::lp_recover_perturb, CounterMerge::kSum},
+    {"lp_recover_residual", &MipCounters::lp_recover_residual, CounterMerge::kSum},
+    {"lp_recover_resolve", &MipCounters::lp_recover_resolve, CounterMerge::kSum},
+    {"node_retries", &MipCounters::node_retries, CounterMerge::kSum},
+    {"root_retries", &MipCounters::root_retries, CounterMerge::kSum},
+    {"probing_probes", &MipCounters::probing_probes, CounterMerge::kSum},
+    {"probing_fixed", &MipCounters::probing_fixed, CounterMerge::kSum},
+    {"probing_aggregated", &MipCounters::probing_aggregated, CounterMerge::kSum},
+    {"probing_implications", &MipCounters::probing_implications, CounterMerge::kSum},
+    {"probing_tightened", &MipCounters::probing_tightened, CounterMerge::kSum},
+    {"strong_branch_lps", &MipCounters::strong_branch_lps, CounterMerge::kSum},
+    {"lp_ftran", &MipCounters::lp_ftran, CounterMerge::kSum},
+    {"lp_btran", &MipCounters::lp_btran, CounterMerge::kSum},
+    {"lp_refactorizations", &MipCounters::lp_refactorizations, CounterMerge::kSum},
+    {"lp_eta_pivots", &MipCounters::lp_eta_pivots, CounterMerge::kSum},
+    {"lp_rhs_nonzeros", &MipCounters::lp_rhs_nonzeros, CounterMerge::kSum},
+    {"lp_rhs_dimension", &MipCounters::lp_rhs_dimension, CounterMerge::kSum},
+    {"lp_lu_input_nnz", &MipCounters::lp_lu_input_nnz, CounterMerge::kSum},
+    {"lp_lu_factor_nnz", &MipCounters::lp_lu_factor_nnz, CounterMerge::kSum},
+    {"lp_staircase_orderings", &MipCounters::lp_staircase_orderings, CounterMerge::kSum},
+    {"lp_staircase_fallbacks", &MipCounters::lp_staircase_fallbacks, CounterMerge::kSum},
+    {"lp_ftran_dense", &MipCounters::lp_ftran_dense, CounterMerge::kSum},
+    {"lp_btran_dense", &MipCounters::lp_btran_dense, CounterMerge::kSum},
+    {"factor_cache_peak_bytes", &MipCounters::factor_cache_peak_bytes, CounterMerge::kMax},
+    {"factor_cache_peak_dense_bytes", &MipCounters::factor_cache_peak_dense_bytes,
+     CounterMerge::kMax},
+};
+
+// A field added to MipCounters without a table row fails here.
+static_assert(sizeof(MipCounters) == std::size(kMipCounterFields) * sizeof(long),
+              "every MipCounters field needs a kMipCounterFields row");
 
 struct MipResult {
   lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;

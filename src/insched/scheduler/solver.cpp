@@ -31,54 +31,6 @@ const char* to_string(FailureClass failure) noexcept {
 
 namespace {
 
-void add_counters(mip::MipCounters* into, const mip::MipCounters& c) {
-  into->warm_solves += c.warm_solves;
-  into->cold_solves += c.cold_solves;
-  into->warm_failures += c.warm_failures;
-  into->steals += c.steals;
-  into->factor_hits += c.factor_hits;
-  into->factor_misses += c.factor_misses;
-  into->pc_merges += c.pc_merges;
-  into->heur_warm += c.heur_warm;
-  into->heur_warm_failed += c.heur_warm_failed;
-  into->crash_warm += c.crash_warm;
-  into->crash_failed += c.crash_failed;
-  into->cut_warm += c.cut_warm;
-  into->cut_warm_failed += c.cut_warm_failed;
-  into->shared_basis_warm += c.shared_basis_warm;
-  into->shared_basis_failed += c.shared_basis_failed;
-  into->pc_seeded += c.pc_seeded;
-  into->cuts_separated += c.cuts_separated;
-  into->cuts_applied += c.cuts_applied;
-  into->cuts_aged += c.cuts_aged;
-  into->cuts_duplicate += c.cuts_duplicate;
-  into->tree_restarts += c.tree_restarts;
-  into->probing_probes += c.probing_probes;
-  into->probing_fixed += c.probing_fixed;
-  into->probing_aggregated += c.probing_aggregated;
-  into->probing_implications += c.probing_implications;
-  into->probing_tightened += c.probing_tightened;
-  into->strong_branch_lps += c.strong_branch_lps;
-  into->lp_ftran += c.lp_ftran;
-  into->lp_btran += c.lp_btran;
-  into->lp_refactorizations += c.lp_refactorizations;
-  into->lp_eta_pivots += c.lp_eta_pivots;
-  into->lp_rhs_nonzeros += c.lp_rhs_nonzeros;
-  into->lp_rhs_dimension += c.lp_rhs_dimension;
-  into->cuts_evicted += c.cuts_evicted;
-  into->lp_recover_refactor += c.lp_recover_refactor;
-  into->lp_recover_repair += c.lp_recover_repair;
-  into->lp_recover_perturb += c.lp_recover_perturb;
-  into->lp_recover_residual += c.lp_recover_residual;
-  into->lp_recover_resolve += c.lp_recover_resolve;
-  into->node_retries += c.node_retries;
-  into->root_retries += c.root_retries;
-  into->factor_cache_peak_bytes =
-      std::max(into->factor_cache_peak_bytes, c.factor_cache_peak_bytes);
-  into->factor_cache_peak_dense_bytes =
-      std::max(into->factor_cache_peak_dense_bytes, c.factor_cache_peak_dense_bytes);
-}
-
 std::vector<double> weights_of(const ScheduleProblem& problem) {
   std::vector<double> w;
   w.reserve(problem.size());
@@ -152,6 +104,8 @@ ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
 
   std::vector<std::optional<long>> fixed(problem.size());
   ScheduleSolution last;
+  // Work summed over every tier solved; a failed tier stops the loop and
+  // still reports the tiers that ran before it.
   double total_seconds = 0.0;
   long total_nodes = 0;
   long total_iterations = 0;
@@ -173,11 +127,8 @@ ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
     total_seconds += last.solver_seconds;
     total_nodes += last.nodes;
     total_iterations += last.lp_iterations;
-    add_counters(&total_counters, last.mip_counters);
-    if (!last.solved) {
-      last.solver_seconds = total_seconds;
-      return last;
-    }
+    total_counters += last.mip_counters;
+    if (!last.solved) break;
     for (std::size_t i = 0; i < problem.size(); ++i) {
       if (!fixed[i].has_value() && problem.analyses[i].weight == tier)
         fixed[i] = last.frequencies[i];
@@ -188,8 +139,7 @@ ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
   last.lp_iterations = total_iterations;
   last.mip_counters = total_counters;
   // Report the objective in the paper's Eq-1 form for comparability.
-  std::vector<double> w = weights_of(problem);
-  last.objective = last.schedule.objective(w);
+  if (last.solved) last.objective = last.schedule.objective(weights_of(problem));
   return last;
 }
 
@@ -296,7 +246,6 @@ ScheduleSolution solve_schedule(const ScheduleProblem& problem, const SolveOptio
     }
   }
   out.diagnostics.resolve_attempts = resolve_attempts;
-  out.diagnostics.recoveries = out.mip_counters.recoveries();
 
   if (!out.solved) {
     const FailureClass why = classify_failure(out);

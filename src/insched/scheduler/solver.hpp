@@ -62,14 +62,14 @@ enum class FailureClass {
 
 [[nodiscard]] const char* to_string(FailureClass failure) noexcept;
 
-/// Structured failure/recovery report attached to every ScheduleSolution.
+/// Structured failure report attached to every ScheduleSolution. Recovery
+/// actions are counted in `ScheduleSolution::mip_counters.recoveries()`.
 struct SolveDiagnostics {
   FailureClass failure = FailureClass::kNone;
   bool degraded = false;      ///< schedule came from the greedy fallback
   int resolve_attempts = 0;   ///< validation-driven tightened re-solves
   double gap_abs = 0.0;       ///< |bound - incumbent| of the final MIP solve
   double gap_rel = 0.0;       ///< gap_abs / max(1, |objective|)
-  long recoveries = 0;        ///< MipCounters::recoveries() summed over tiers
   std::string message;        ///< one-line human-readable explanation
 };
 
@@ -92,7 +92,7 @@ struct ScheduleSolution {
   /// tier's termination but accumulate nodes/iterations/counters over all.
   mip::MipTermination termination = mip::MipTermination::kNumericalFailure;
   mip::MipCounters mip_counters;    ///< warm/cold solves, steals, ... summed over tiers
-  SolveDiagnostics diagnostics;     ///< failure taxonomy + recovery counters
+  SolveDiagnostics diagnostics;     ///< failure taxonomy + degradation report
 };
 
 [[nodiscard]] ScheduleSolution solve_schedule(const ScheduleProblem& problem,

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "insched/lp/model.hpp"
@@ -522,6 +527,94 @@ TEST(Mip, ProbingReductionsRestoreInFullSpace) {
               1e-9);
   // Optimum: x = 1 (4) beats y + w (3); cap stops x + w together.
   EXPECT_NEAR(res.objective, 4.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Counter record: one field table (kMipCounterFields) drives merging, the
+// search's snapshots and every emitter, so its rows must name each field
+// exactly once. The header's static_assert already ties the row count to
+// sizeof(MipCounters).
+
+bool is_identifier(const std::string& name) {
+  if (name.empty() || std::isdigit(static_cast<unsigned char>(name.front())) != 0)
+    return false;
+  return std::all_of(name.begin(), name.end(), [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_';
+  });
+}
+
+TEST(MipCounterTable, NamesAreUniqueIdentifiersAndMembersDistinct) {
+  std::set<std::string> names;
+  for (const CounterField& f : kMipCounterFields) {
+    EXPECT_TRUE(is_identifier(f.name)) << "'" << f.name << "'";
+    EXPECT_TRUE(names.insert(f.name).second) << "duplicate name " << f.name;
+  }
+  // Distinct members + the sizeof static_assert = every field has a row.
+  for (std::size_t i = 0; i < std::size(kMipCounterFields); ++i)
+    for (std::size_t j = i + 1; j < std::size(kMipCounterFields); ++j)
+      EXPECT_NE(kMipCounterFields[i].member, kMipCounterFields[j].member)
+          << kMipCounterFields[i].name << " and " << kMipCounterFields[j].name;
+}
+
+TEST(MipCounterTable, MergeSumsCountsAndMaxesPeaks) {
+  MipCounters a;
+  MipCounters b;
+  long v = 1;
+  for (const CounterField& f : kMipCounterFields) {
+    a.*f.member = v;
+    b.*f.member = 100 * v;
+    ++v;
+  }
+  MipCounters merged = a;
+  merged += b;
+  for (const CounterField& f : kMipCounterFields) {
+    const long expect = f.merge == CounterMerge::kMax ? std::max(a.*f.member, b.*f.member)
+                                                      : a.*f.member + b.*f.member;
+    EXPECT_EQ(merged.*f.member, expect) << f.name;
+  }
+}
+
+// A MIP that stops at the root still reports the root's LP work: the bail
+// path snapshots the same tally as a finished search.
+TEST(MipCounterTable, RootInfeasibleReportsItsLpWork) {
+  Model m;
+  const int x = m.add_column("x", 0, 1, 1.0, VarType::kBinary);
+  const int y = m.add_column("y", 0, 1, 1.0, VarType::kBinary);
+  m.add_row("ge", RowType::kGe, 3.0, {{x, 1.0}, {y, 1.0}});
+  MipOptions opt;
+  opt.use_presolve = false;  // leave the infeasibility for the root LP
+  opt.use_probing = false;
+  const MipResult res = solve_mip(m, opt);
+  ASSERT_EQ(res.termination, MipTermination::kProvedInfeasible);
+  ASSERT_GT(res.lp_iterations, 0);
+  const MipCounters& c = res.counters;
+  EXPECT_GT(c.lp_ftran, 0);
+  EXPECT_GT(c.lp_btran, 0);
+  EXPECT_GT(c.lp_refactorizations, 0);
+  EXPECT_EQ(c.lp_staircase_orderings + c.lp_staircase_fallbacks, c.lp_refactorizations);
+  // No feasible greedy point exists, so the root never tried a crash start.
+  EXPECT_EQ(c.crash_warm, 0);
+  EXPECT_EQ(c.crash_failed, 0);
+}
+
+TEST(MipCounterTable, RootUnboundedReportsTheFailedCrash) {
+  // The all-zero point is feasible, so the root crash-starts the dual
+  // simplex; the LP is unbounded, so the crash fails over to the cold path.
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const int x = m.add_column("x", 0, kInf, 1.0, VarType::kInteger);
+  const int y = m.add_column("y", 0, kInf, 1.0, VarType::kInteger);
+  m.add_row("d", RowType::kLe, 2.0, {{x, 1.0}, {y, -1.0}});
+  MipOptions opt;
+  opt.use_presolve = false;
+  opt.use_probing = false;
+  const MipResult res = solve_mip(m, opt);
+  ASSERT_EQ(res.termination, MipTermination::kUnbounded);
+  const MipCounters& c = res.counters;
+  EXPECT_EQ(c.crash_warm, 0);
+  EXPECT_EQ(c.crash_failed, 1);
+  EXPECT_GT(c.lp_ftran, 0);
+  EXPECT_GT(c.lp_refactorizations, 0);
 }
 
 }  // namespace

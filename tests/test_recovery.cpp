@@ -374,7 +374,7 @@ TEST(Degradation, FaultySolveStillValidatesAndCountsRecoveries) {
       scheduler::solve_schedule(tiny_problem(), options);
   ASSERT_TRUE(sol.solved);
   EXPECT_TRUE(sol.validation.feasible);
-  EXPECT_GT(sol.diagnostics.recoveries, 0);
+  EXPECT_GT(sol.mip_counters.recoveries(), 0);
   fault::disarm_all();
   fault::reset_counts();
 }

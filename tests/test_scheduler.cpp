@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "insched/casestudy/flash_sedov.hpp"
 #include "insched/mip/branch_and_bound.hpp"
 #include "insched/scheduler/aggregate_milp.hpp"
 #include "insched/scheduler/greedy.hpp"
@@ -672,6 +674,55 @@ TEST(SolverFacade, RhodopsinTable6Totals) {
         << "budget " << budget;
     EXPECT_TRUE(sol.validation.feasible);
   }
+}
+
+// Lexicographic tiers fold their MipCounters together with operator+=, so
+// the summed record keeps every field, the LU ones included.
+TEST(SolverCounters, LexicographicTiersKeepEveryFactorCounter) {
+  SolveOptions options;
+  options.weight_mode = WeightMode::kLexicographic;
+  options.mip.threads = 1;
+  const ScheduleSolution sol =
+      solve_schedule(casestudy::flash_problem({2.0, 1.0, 2.0}), options);
+  ASSERT_TRUE(sol.solved);
+  const mip::MipCounters& c = sol.mip_counters;
+  EXPECT_GT(c.lp_refactorizations, 0);
+  EXPECT_EQ(c.lp_staircase_orderings + c.lp_staircase_fallbacks, c.lp_refactorizations);
+  EXPECT_GT(c.lp_lu_input_nnz, 0);
+  EXPECT_GT(c.lp_lu_factor_nnz, 0);
+}
+
+// A later tier that stops on its node limit without an incumbent fails the
+// whole lexicographic solve; the report must still carry the work of the
+// tiers that ran before it.
+TEST(SolverCounters, FailedLexicographicTierReportsEveryTiersWork) {
+  const ScheduleProblem problem = casestudy::flash_problem({2.0, 1.0, 2.0});
+  SolveOptions options;
+  options.weight_mode = WeightMode::kLexicographic;
+  options.fallback_to_greedy = false;
+  options.mip.threads = 1;
+  options.mip.max_nodes = 1;
+  options.mip.use_rounding_heuristic = false;  // no incumbent without branching
+  options.mip.use_presolve = false;
+  options.mip.use_probing = false;
+
+  // The first tier exactly as solve_lexicographic builds it: the weight-2
+  // analyses at unit weight, the weight-1 analysis pinned to zero.
+  ScheduleProblem first_tier = problem;
+  for (AnalysisParams& a : first_tier.analyses) a.weight = 1.0;
+  std::vector<std::optional<long>> pinned(problem.size());
+  pinned[1] = 0;
+  const mip::MipResult first =
+      mip::solve_mip(build_aggregate_milp(first_tier, pinned).model, options.mip);
+  ASSERT_TRUE(first.optimal()) << "the first tier must succeed for this test";
+
+  const ScheduleSolution sol = solve_schedule(problem, options);
+  ASSERT_FALSE(sol.solved);
+  EXPECT_EQ(sol.termination, mip::MipTermination::kNodeLimit);
+  // The failing tier processed its own root before the limit stopped it.
+  EXPECT_GE(sol.nodes, first.nodes + 1);
+  EXPECT_GT(sol.lp_iterations, first.lp_iterations);
+  EXPECT_GT(sol.mip_counters.lp_refactorizations, first.counters.lp_refactorizations);
 }
 
 TEST(Recommend, ThresholdSweepIsMonotone) {

@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
       std::printf("gap: %.6g absolute (%.3f%% relative)\n",
                   rec.solution.diagnostics.gap_abs,
                   100.0 * rec.solution.diagnostics.gap_rel);
-    if (rec.solution.diagnostics.recoveries > 0)
+    if (rec.solution.mip_counters.recoveries() > 0)
       std::printf("numerical recoveries during solve: %ld\n",
-                  rec.solution.diagnostics.recoveries);
+                  rec.solution.mip_counters.recoveries());
 
     if (render_steps > 0)
       std::printf("\ntimeline: %s\n", rec.solution.schedule.render(render_steps).c_str());

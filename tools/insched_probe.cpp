@@ -8,9 +8,8 @@
 //   insched_probe sedov [grid=32] [write_bw=1e9]
 //
 // The `solver` subcommand instead probes the MIP engine itself: it solves
-// the three case-study staircase MILPs and prints the cut/probing/
-// strong-branch counters alongside the basis-factorization (FactorStats)
-// counters, with and without the cutting-plane engine.
+// the three case-study staircase MILPs and prints every MipCounters field,
+// with and without the cutting-plane engine.
 //
 //   insched_probe solver [steps=500] [cuts=0|1|both] [slots=20]
 //
@@ -172,10 +171,12 @@ int probe_sedov(std::size_t grid, double write_bw) {
   return 0;
 }
 
-// Solves one case-study staircase MILP and prints every MipCounters field:
-// tree shape, cut/probing/strong-branch activity, recovery-ladder actions,
-// and the FactorStats-level FTRAN/BTRAN/eta observability of the underlying
-// LU kernel. Returns 0 on a solve with an incumbent, 1 otherwise.
+// Solves one case-study staircase MILP and prints the tree shape, the
+// derived factorization ratios, and every MipCounters field (one per line,
+// from the field table): cut/probing/strong-branch activity, warm-start and
+// cache traffic, recovery-ladder actions, and the FTRAN/BTRAN/eta
+// observability of the underlying LU kernel. Returns 0 on a solve with an
+// incumbent, 1 otherwise.
 int solve_and_report(const char* name, const scheduler::ScheduleProblem& base, long steps,
                      bool cuts, long slots, bool own_mth, double wscale,
                      long max_nodes) {
@@ -205,33 +206,15 @@ int solve_and_report(const char* name, const scheduler::ScheduleProblem& base, l
 
   std::printf("%-6s cuts=%d  %s  obj %.6f  %.1f ms\n", name, cuts ? 1 : 0,
               mip::to_string(res.termination), res.objective, res.solve_seconds * 1e3);
-  std::printf("  tree      : nodes %ld  lp_iters %ld  rows %d  cols %d\n", res.nodes,
-              res.lp_iterations, model.num_rows(), model.num_columns());
-  std::printf("  cuts      : separated %ld  applied %ld (rows +%d)  aged %ld  dup %ld  "
-              "restarts %ld\n",
-              c.cuts_separated, c.cuts_applied, res.cuts_added, c.cuts_aged,
-              c.cuts_duplicate, c.tree_restarts);
-  std::printf("  probing   : probes %ld  fixed %ld  aggregated %ld  implications %ld  "
-              "tightened %ld\n",
-              c.probing_probes, c.probing_fixed, c.probing_aggregated,
-              c.probing_implications, c.probing_tightened);
-  std::printf("  branching : strong_branch_lps %ld  warm %ld  cold %ld  warm_fail %ld\n",
-              c.strong_branch_lps, c.warm_solves, c.cold_solves, c.warm_failures);
-  std::printf("  factor    : ftran %ld  btran %ld  refactor %ld  eta %ld  rhs_density "
-              "%.4f\n",
-              c.lp_ftran, c.lp_btran, c.lp_refactorizations, c.lp_eta_pivots,
-              c.lp_rhs_density());
-  std::printf("  staircase : fill_ratio %.3f  hit_rate %.3f  dense_ftran %ld  "
-              "dense_btran %ld  crash %ld/%ld  cut_warm %ld/%ld  simd %s\n",
-              c.lp_fill_ratio(), c.lp_staircase_hit_rate(), c.lp_ftran_dense,
-              c.lp_btran_dense, c.crash_warm, c.crash_warm + c.crash_failed, c.cut_warm,
-              c.cut_warm + c.cut_warm_failed,
-              insched::support::simd_enabled() ? "on" : "off");
-  std::printf("  recovery  : refactor %ld  repair %ld  perturb %ld  residual %ld  "
-              "resolve %ld  node_retry %ld  root_retry %ld  evicted %ld\n",
-              c.lp_recover_refactor, c.lp_recover_repair, c.lp_recover_perturb,
-              c.lp_recover_residual, c.lp_recover_resolve, c.node_retries,
-              c.root_retries, c.cuts_evicted);
+  std::printf("  tree    : nodes %ld  lp_iters %ld  rows %d  cols %d  cut rows +%d\n",
+              res.nodes, res.lp_iterations, model.num_rows(), model.num_columns(),
+              res.cuts_added);
+  std::printf("  derived : lp_rhs_density %.4f  lp_fill_ratio %.3f  "
+              "lp_staircase_hit_rate %.3f  recoveries %ld  simd %s\n",
+              c.lp_rhs_density(), c.lp_fill_ratio(), c.lp_staircase_hit_rate(),
+              c.recoveries(), insched::support::simd_enabled() ? "on" : "off");
+  for (const mip::CounterField& field : mip::kMipCounterFields)
+    std::printf("    %-30s %ld\n", field.name, c.*field.member);
   if (!res.has_solution) {
     std::fprintf(stderr, "error: %s staircase MILP solve failed (%s): no incumbent\n",
                  name, mip::to_string(res.termination));

@@ -61,9 +61,8 @@ inline constexpr double kCoeffTol = 1e-9;
 /// heuristic integer points.
 inline constexpr double kIntTol = 1e-6;
 
-/// Branch-and-bound termination gaps (MipOptions defaults).
+/// Branch-and-bound termination gap (MipOptions::gap_abs default).
 inline constexpr double kGapAbsTol = 1e-6;
-inline constexpr double kGapRelTol = 1e-9;
 
 /// Floor of the pseudo-cost score product so one zero estimate does not
 /// erase the other side's signal.

@@ -182,12 +182,11 @@ class Search {
   std::vector<Implication> implications_;
   std::vector<double> root_x_;
   // Warm-delta snapshot capture (collect_resolve_artifacts): the latest root
-  // basis/factorization over the cut-extended model, every cut row committed
-  // by apply_cuts in append order, and the final pseudo-cost table. All
-  // written on the coordinating thread (root phase / post-search), so plain
-  // members are race-free.
+  // basis over the cut-extended model, every cut row committed by apply_cuts
+  // in append order, and the final pseudo-cost table. All written on the
+  // coordinating thread (root phase / post-search), so plain members are
+  // race-free.
   lp::Basis resolve_basis_;
-  std::shared_ptr<const lp::Factorization> resolve_factor_;
   std::vector<Cut> resolve_cuts_;
   PseudoCostTable resolve_pc_;
   std::atomic<bool> restart_requested_{false};
@@ -946,7 +945,6 @@ void Search::finalize(bool proved) {
     art->base_columns = n_;
     art->base_rows = base_.num_rows() - static_cast<int>(resolve_cuts_.size());
     art->root_basis = std::move(resolve_basis_);
-    art->root_factor = std::move(resolve_factor_);
     art->cuts = std::move(resolve_cuts_);
     art->pseudo_costs = std::move(resolve_pc_);
     result_.resolve = std::move(art);
@@ -1110,10 +1108,7 @@ NodePtr Search::try_restart() {
   auto node = std::make_shared<SearchNode>();
   node->parent_bound = internal(root.objective);
   node->id = 0;
-  if (opt_.collect_resolve_artifacts) {
-    resolve_basis_ = root.basis;
-    resolve_factor_ = root.factor;
-  }
+  if (opt_.collect_resolve_artifacts) resolve_basis_ = root.basis;
   root_result_ = std::move(root);
   root_pending_ = true;
   return node;
@@ -1320,10 +1315,7 @@ MipResult Search::run() {
   auto root_node = std::make_shared<SearchNode>();
   root_node->parent_bound = internal(root.objective);
   root_node->id = 0;
-  if (opt_.collect_resolve_artifacts) {
-    resolve_basis_ = root.basis;
-    resolve_factor_ = root.factor;
-  }
+  if (opt_.collect_resolve_artifacts) resolve_basis_ = root.basis;
   root_result_ = std::move(root);
   root_pending_ = true;
 

@@ -57,7 +57,6 @@ enum class MipTermination {
 struct MipOptions {
   double int_tol = lp::tol::kIntTol;        ///< integrality tolerance
   double gap_abs = lp::tol::kGapAbsTol;        ///< terminate when bound-incumbent gap below this
-  double gap_rel = lp::tol::kGapRelTol;
   long max_nodes = 500000;
   /// Wall-clock limit. A non-positive limit expires right after the root LP
   /// and its heuristic, so the result is a deterministic kTimeLimit

@@ -57,7 +57,6 @@ namespace insched::mip {
 /// rows in `cuts` order — exactly the shape of the cut-extended root model.
 struct MipResolveArtifacts {
   lp::Basis root_basis;
-  std::shared_ptr<const lp::Factorization> root_factor;
   std::vector<Cut> cuts;
   PseudoCostTable pseudo_costs;
   int base_columns = 0;

@@ -4,11 +4,7 @@ namespace insched::mip {
 
 std::optional<lp::Basis> MipWarmState::root_basis(int columns, int rows) const {
   MutexLock lock(mu_);
-  if (basis_columns_ != columns || basis_rows_ != rows || basis_.empty()) {
-    ++counters_.basis_misses;
-    return std::nullopt;
-  }
-  ++counters_.basis_hits;
+  if (basis_columns_ != columns || basis_rows_ != rows || basis_.empty()) return std::nullopt;
   return basis_;
 }
 
@@ -18,13 +14,11 @@ void MipWarmState::publish_root_basis(int columns, int rows, const lp::Basis& ba
   basis_columns_ = columns;
   basis_rows_ = rows;
   basis_ = basis;
-  ++counters_.basis_publishes;
 }
 
 std::optional<PseudoCostTable> MipWarmState::pseudo_costs(int columns) const {
   MutexLock lock(mu_);
   if (pc_columns_ != columns) return std::nullopt;
-  ++counters_.pc_hits;
   return pc_;
 }
 
@@ -34,12 +28,6 @@ void MipWarmState::publish_pseudo_costs(const PseudoCostTable& table) {
   MutexLock lock(mu_);
   pc_ = table;
   pc_columns_ = columns;
-  ++counters_.pc_publishes;
-}
-
-WarmStateCounters MipWarmState::counters() const {
-  MutexLock lock(mu_);
-  return counters_;
 }
 
 }  // namespace insched::mip

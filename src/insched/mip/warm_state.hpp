@@ -31,15 +31,6 @@
 
 namespace insched::mip {
 
-/// Observability counters for one shared warm-state slot.
-struct WarmStateCounters {
-  long basis_publishes = 0;  ///< root bases stored by finished solves
-  long basis_hits = 0;       ///< solves that found a dimension-matching basis
-  long basis_misses = 0;     ///< lookups against empty/mismatched state
-  long pc_publishes = 0;     ///< pseudo-cost tables folded in
-  long pc_hits = 0;          ///< solves seeded with shared pseudo-costs
-};
-
 class MipWarmState {
  public:
   /// Root basis of the last solve whose (presolved) model had exactly
@@ -61,8 +52,6 @@ class MipWarmState {
   /// summing here would double the magnitudes on every solve of a family.
   void publish_pseudo_costs(const PseudoCostTable& table);
 
-  [[nodiscard]] WarmStateCounters counters() const;
-
  private:
   // Global lock order (docs/STATIC_ANALYSIS.md): above the solver-core
   // locks (a solve consults/publishes around, not inside, the search).
@@ -72,7 +61,6 @@ class MipWarmState {
   lp::Basis basis_ INSCHED_GUARDED_BY(mu_);
   int pc_columns_ INSCHED_GUARDED_BY(mu_) = -1;
   PseudoCostTable pc_ INSCHED_GUARDED_BY(mu_);
-  mutable WarmStateCounters counters_ INSCHED_GUARDED_BY(mu_);
 };
 
 }  // namespace insched::mip

@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "insched/support/json.hpp"
 #include "insched/support/string_util.hpp"
 
 namespace insched::scheduler {
@@ -16,25 +17,6 @@ constexpr double kRangeLimit = 1e8;  ///< max/min magnitude ratio before a numer
 
 std::string analysis_locus(const AnalysisParams& a, const char* key) {
   return format("[analysis] '%s' / %s", a.name.c_str(), key);
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += format("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-        else
-          out += c;
-    }
-  }
-  return out;
 }
 
 /// max/min ratio over the nonzero magnitudes in `values`; 1 when fewer than
@@ -117,10 +99,15 @@ std::string LintReport::to_json() const {
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     const LintDiagnostic& d = diagnostics[i];
     if (i > 0) out += ",";
-    out += format("{\"severity\":\"%s\",\"id\":\"%s\",\"locus\":\"%s\",\"message\":\"%s\"",
-                  scheduler::to_string(d.severity), json_escape(d.id).c_str(),
-                  json_escape(d.locus).c_str(), json_escape(d.message).c_str());
-    if (!d.hint.empty()) out += format(",\"hint\":\"%s\"", json_escape(d.hint).c_str());
+    const auto member = [&out](const char* key, const std::string& value) {
+      out += format(",\"%s\":", key);
+      json::append_string(out, value);
+    };
+    out += format("{\"severity\":\"%s\"", scheduler::to_string(d.severity));
+    member("id", d.id);
+    member("locus", d.locus);
+    member("message", d.message);
+    if (!d.hint.empty()) member("hint", d.hint);
     out += "}";
   }
   out += format("],\"errors\":%d,\"warnings\":%d,\"infos\":%d}", count(LintSeverity::kError),

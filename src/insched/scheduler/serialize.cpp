@@ -1,29 +1,15 @@
 #include "insched/scheduler/serialize.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 #include "insched/support/assert.hpp"
+#include "insched/support/json.hpp"
 #include "insched/support/string_util.hpp"
 
 namespace insched::scheduler {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
 
 void append_steps(std::string& out, const std::vector<long>& steps) {
   out += '[';
@@ -34,72 +20,11 @@ void append_steps(std::string& out, const std::vector<long>& steps) {
   out += ']';
 }
 
-/// Minimal recursive-descent scanner for the subset we emit.
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      throw std::runtime_error(format("json: expected '%c' at offset %zu", c, pos_));
-    ++pos_;
-  }
-
-  [[nodiscard]] bool accept(char c) {
-    skip();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        c = esc == 'n' ? '\n' : (esc == 't' ? '\t' : esc);
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) throw std::runtime_error("json: unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] long integer_value() {
-    skip();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (pos_ == start) throw std::runtime_error("json: expected integer");
-    return std::stol(text_.substr(start, pos_ - start));
-  }
-
-  [[nodiscard]] std::vector<long> integer_array() {
-    std::vector<long> out;
-    expect('[');
-    if (accept(']')) return out;
-    while (true) {
-      out.push_back(integer_value());
-      if (accept(']')) break;
-      expect(',');
-    }
-    return out;
-  }
-
-  void skip() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+std::vector<long> integer_array(json::Reader& scan) {
+  std::vector<long> out;
+  scan.array([&] { out.push_back(scan.integer()); });
+  return out;
+}
 
 }  // namespace
 
@@ -109,7 +34,7 @@ std::string schedule_to_json(const Schedule& schedule) {
     const AnalysisSchedule& a = schedule.analysis(i);
     if (i) out += ',';
     out += "{\"name\":";
-    append_escaped(out, a.name);
+    json::append_string(out, a.name);
     out += ",\"analysis_steps\":";
     append_steps(out, a.analysis_steps);
     out += ",\"output_steps\":";
@@ -120,48 +45,29 @@ std::string schedule_to_json(const Schedule& schedule) {
   return out;
 }
 
-Schedule schedule_from_json(const std::string& json) {
-  JsonScanner scan(json);
-  scan.expect('{');
+Schedule schedule_from_json(const std::string& text) {
+  json::Reader scan(text);
   long steps = 0;
   std::vector<AnalysisSchedule> analyses;
-  while (true) {
-    const std::string key = scan.string_value();
-    scan.expect(':');
+  scan.object([&](const std::string& key) {
     if (key == "steps") {
-      steps = scan.integer_value();
+      steps = scan.integer();
     } else if (key == "analyses") {
-      scan.expect('[');
-      if (!scan.accept(']')) {
-        while (true) {
-          scan.expect('{');
-          AnalysisSchedule a;
-          while (true) {
-            const std::string field = scan.string_value();
-            scan.expect(':');
-            if (field == "name") {
-              a.name = scan.string_value();
-            } else if (field == "analysis_steps") {
-              a.analysis_steps = scan.integer_array();
-            } else if (field == "output_steps") {
-              a.output_steps = scan.integer_array();
-            } else {
-              throw std::runtime_error("json: unknown analysis field '" + field + "'");
-            }
-            if (!scan.accept(',')) break;
-          }
-          scan.expect('}');
-          analyses.push_back(std::move(a));
-          if (!scan.accept(',')) break;
-        }
-        scan.expect(']');
-      }
+      scan.array([&] {
+        AnalysisSchedule a;
+        scan.object([&](const std::string& field) {
+          if (field == "name") a.name = scan.string();
+          else if (field == "analysis_steps") a.analysis_steps = integer_array(scan);
+          else if (field == "output_steps") a.output_steps = integer_array(scan);
+          else throw std::runtime_error("json: unknown analysis field '" + field + "'");
+        });
+        analyses.push_back(std::move(a));
+      });
     } else {
       throw std::runtime_error("json: unknown schedule field '" + key + "'");
     }
-    if (!scan.accept(',')) break;
-  }
-  scan.expect('}');
+  });
+  scan.expect_end();
   const std::string defect = schedule_defect(steps, analyses);
   if (!defect.empty()) throw std::runtime_error("json: " + defect);
   return Schedule(steps, std::move(analyses));

@@ -1,9 +1,9 @@
 #pragma once
 
 // JSON serialization of schedules and solutions for downstream tooling
-// (dashboards, notebooks, workflow managers). Hand-rolled emitter — the
-// structures are small and flat, so no JSON library is needed. The schedule
-// JSON can be parsed back, enabling plan-now/execute-later workflows.
+// (dashboards, notebooks, workflow managers), written and read with the
+// support/json codec. The schedule JSON can be parsed back, enabling
+// plan-now/execute-later workflows.
 
 #include <string>
 

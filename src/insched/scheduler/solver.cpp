@@ -31,6 +31,20 @@ const char* to_string(FailureClass failure) noexcept {
 
 namespace {
 
+/// The solver's status, work and gap, before any decode.
+ScheduleSolution solver_report(const mip::MipResult& res) {
+  ScheduleSolution out;
+  out.status = res.status;
+  out.termination = res.termination;
+  out.solver_seconds = res.solve_seconds;
+  out.nodes = res.nodes;
+  out.lp_iterations = res.lp_iterations;
+  out.mip_counters = res.counters;
+  out.diagnostics.gap_abs = res.gap();
+  out.diagnostics.gap_rel = res.gap_rel();
+  return out;
+}
+
 std::vector<double> weights_of(const ScheduleProblem& problem) {
   std::vector<double> w;
   w.reserve(problem.size());
@@ -40,17 +54,9 @@ std::vector<double> weights_of(const ScheduleProblem& problem) {
 
 ScheduleSolution solve_aggregate(const ScheduleProblem& problem, const SolveOptions& options,
                                  const std::vector<std::optional<long>>& fixed_counts = {}) {
-  ScheduleSolution out;
   const AggregateModel built = build_aggregate_milp(problem, fixed_counts);
   const mip::MipResult res = mip::solve_mip(built.model, options.mip);
-  out.status = res.status;
-  out.termination = res.termination;
-  out.solver_seconds = res.solve_seconds;
-  out.nodes = res.nodes;
-  out.lp_iterations = res.lp_iterations;
-  out.mip_counters = res.counters;
-  out.diagnostics.gap_abs = res.gap();
-  out.diagnostics.gap_rel = res.gap_rel();
+  ScheduleSolution out = solver_report(res);
   if (!res.has_solution) return out;
 
   const AggregateCounts counts = decode_aggregate(built, res.x);
@@ -65,28 +71,8 @@ ScheduleSolution solve_aggregate(const ScheduleProblem& problem, const SolveOpti
 
 ScheduleSolution solve_time_expanded(const ScheduleProblem& problem,
                                      const SolveOptions& options) {
-  ScheduleSolution out;
   const TimeExpandedModel built = build_time_expanded_milp(problem);
-  const mip::MipResult res = mip::solve_mip(built.model, options.mip);
-  out.status = res.status;
-  out.termination = res.termination;
-  out.solver_seconds = res.solve_seconds;
-  out.nodes = res.nodes;
-  out.lp_iterations = res.lp_iterations;
-  out.mip_counters = res.counters;
-  out.diagnostics.gap_abs = res.gap();
-  out.diagnostics.gap_rel = res.gap_rel();
-  if (!res.has_solution) return out;
-
-  out.schedule = decode_time_expanded(problem, built, res.x);
-  out.frequencies = out.schedule.frequencies();
-  out.output_counts.clear();
-  for (const AnalysisSchedule& a : out.schedule.analyses())
-    out.output_counts.push_back(a.output_count());
-  out.objective = out.schedule.objective(weights_of(problem));
-  out.solved = true;
-  out.proven_optimal = res.optimal();
-  return out;
+  return time_expanded_solution(problem, built, mip::solve_mip(built.model, options.mip));
 }
 
 // Strict-priority solve: analyses are grouped into tiers by descending
@@ -193,6 +179,21 @@ void degrade_to_greedy(const ScheduleProblem& problem, const SolveOptions& optio
 }
 
 }  // namespace
+
+ScheduleSolution time_expanded_solution(const ScheduleProblem& problem,
+                                        const TimeExpandedModel& built,
+                                        const mip::MipResult& res) {
+  ScheduleSolution out = solver_report(res);
+  if (!res.has_solution) return out;
+  out.schedule = decode_time_expanded(problem, built, res.x);
+  out.frequencies = out.schedule.frequencies();
+  for (const AnalysisSchedule& a : out.schedule.analyses())
+    out.output_counts.push_back(a.output_count());
+  out.objective = out.schedule.objective(weights_of(problem));
+  out.solved = true;
+  out.proven_optimal = res.optimal();
+  return out;
+}
 
 ScheduleSolution solve_schedule(const ScheduleProblem& problem, const SolveOptions& options) {
   problem.validate();

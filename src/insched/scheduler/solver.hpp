@@ -98,4 +98,15 @@ struct ScheduleSolution {
 [[nodiscard]] ScheduleSolution solve_schedule(const ScheduleProblem& problem,
                                               const SolveOptions& options = {});
 
+struct TimeExpandedModel;
+
+/// Decodes one solve of the time-expanded MILP `built` (from
+/// build_time_expanded_milp(problem)): the solver's status, work and gap,
+/// and, when `result` carries a solution, the schedule with its
+/// frequencies, output counts and objective. Validation and the failure
+/// taxonomy are left to the caller.
+[[nodiscard]] ScheduleSolution time_expanded_solution(const ScheduleProblem& problem,
+                                                      const TimeExpandedModel& built,
+                                                      const mip::MipResult& result);
+
 }  // namespace insched::scheduler

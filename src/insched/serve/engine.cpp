@@ -275,36 +275,16 @@ ServeResponse ServeEngine::handle_reschedule(const ServeRequest& request,
     const scheduler::TimeExpandedModel built = scheduler::build_time_expanded_milp(patched);
     const mip::MipResult res = warm_eligible ? entry->ctx.resolve(built.model, mo)
                                              : entry->ctx.solve(built.model, mo);
-    sol.status = res.status;
-    sol.termination = res.termination;
-    sol.solver_seconds = res.solve_seconds;
-    sol.nodes = res.nodes;
-    sol.lp_iterations = res.lp_iterations;
-    sol.mip_counters = res.counters;
-    sol.diagnostics.gap_abs = res.gap();
-    sol.diagnostics.gap_rel = res.gap_rel();
+    sol = scheduler::time_expanded_solution(patched, built, res);
     if (res.termination == mip::MipTermination::kProvedInfeasible) {
       sol.diagnostics.failure = scheduler::FailureClass::kInfeasibleModel;
       ServeResponse r = respond(request, sol);
       r.handle = handle;
       return r;
     }
-    if (res.has_solution) {
-      sol.schedule = scheduler::decode_time_expanded(patched, built, res.x);
-      sol.frequencies = sol.schedule.frequencies();
-      sol.output_counts.clear();
-      for (const scheduler::AnalysisSchedule& a : sol.schedule.analyses())
-        sol.output_counts.push_back(a.output_count());
-      std::vector<double> weights;
-      for (const scheduler::AnalysisParams& a : patched.analyses)
-        weights.push_back(a.weight);
-      sol.objective = sol.schedule.objective(weights);
-      sol.solved = true;
-      sol.proven_optimal = res.optimal();
-      if (opt_.solve.run_validation) {
-        sol.validation = scheduler::validate_schedule(patched, sol.schedule);
-        if (!sol.validation.feasible) sol.solved = false;
-      }
+    if (sol.solved && opt_.solve.run_validation) {
+      sol.validation = scheduler::validate_schedule(patched, sol.schedule);
+      if (!sol.validation.feasible) sol.solved = false;
     }
   }
 

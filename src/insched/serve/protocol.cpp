@@ -1,12 +1,11 @@
 #include "insched/serve/protocol.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "insched/scheduler/problem_io.hpp"
 #include "insched/support/config.hpp"
+#include "insched/support/json.hpp"
 #include "insched/support/string_util.hpp"
 
 namespace insched::serve {
@@ -48,143 +47,6 @@ int exit_code(ResponseStatus status) noexcept {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-/// Minimal recursive-descent scanner for the protocol subset (the
-/// serialize.cpp idiom plus numbers, booleans, and raw sub-object capture).
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      throw std::runtime_error(format("serve json: expected '%c' at offset %zu", c, pos_));
-    ++pos_;
-  }
-
-  [[nodiscard]] bool accept(char c) {
-    skip();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        c = esc == 'n' ? '\n' : (esc == 't' ? '\t' : (esc == 'r' ? '\r' : esc));
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) throw std::runtime_error("serve json: unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  [[nodiscard]] double number_value() {
-    skip();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start)
-      throw std::runtime_error(format("serve json: expected number at offset %zu", pos_));
-    pos_ += static_cast<std::size_t>(end - start);
-    return value;
-  }
-
-  [[nodiscard]] long integer_value() {
-    const double value = number_value();
-    return static_cast<long>(std::llround(value));
-  }
-
-  [[nodiscard]] bool bool_value() {
-    skip();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::runtime_error(format("serve json: expected boolean at offset %zu", pos_));
-  }
-
-  /// Consumes one value of any kind and returns its verbatim text (used to
-  /// carry nested objects like "solution" through without reparsing them).
-  [[nodiscard]] std::string raw_value() {
-    skip();
-    const std::size_t start = pos_;
-    skip_value();
-    return text_.substr(start, pos_ - start);
-  }
-
-  void skip_value() {
-    skip();
-    if (pos_ >= text_.size()) throw std::runtime_error("serve json: truncated value");
-    const char c = text_[pos_];
-    if (c == '"') {
-      (void)string_value();
-    } else if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos_;
-      skip();
-      if (accept(close)) return;
-      while (true) {
-        if (c == '{') {
-          (void)string_value();
-          expect(':');
-        }
-        skip_value();
-        if (accept(close)) break;
-        expect(',');
-      }
-    } else if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-    } else if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-    } else {
-      (void)number_value();
-    }
-  }
-
-  void skip() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  void expect_end() {
-    skip();
-    if (pos_ != text_.size())
-      throw std::runtime_error(format("serve json: trailing data at offset %zu", pos_));
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 const char* kind_name(scheduler::ThresholdKind kind) noexcept {
   switch (kind) {
     case scheduler::ThresholdKind::kFractionOfSimTime: return "fraction";
@@ -219,60 +81,39 @@ scheduler::OutputPolicy parse_policy(const std::string& text) {
   throw std::runtime_error("serve json: unknown output_policy '" + text + "'");
 }
 
-scheduler::AnalysisParams analysis_from_scanner(Scanner& scan) {
+scheduler::AnalysisParams analysis_from_reader(json::Reader& scan) {
   scheduler::AnalysisParams a;
-  scan.expect('{');
-  if (scan.accept('}')) return a;
-  while (true) {
-    const std::string field = scan.string_value();
-    scan.expect(':');
-    if (field == "name") a.name = scan.string_value();
-    else if (field == "ft") a.ft = scan.number_value();
-    else if (field == "it") a.it = scan.number_value();
-    else if (field == "ct") a.ct = scan.number_value();
-    else if (field == "ot") a.ot = scan.number_value();
-    else if (field == "fm") a.fm = scan.number_value();
-    else if (field == "im") a.im = scan.number_value();
-    else if (field == "cm") a.cm = scan.number_value();
-    else if (field == "om") a.om = scan.number_value();
-    else if (field == "weight") a.weight = scan.number_value();
-    else if (field == "itv") a.itv = scan.integer_value();
+  scan.object([&](const std::string& field) {
+    if (field == "name") a.name = scan.string();
+    else if (field == "ft") a.ft = scan.number();
+    else if (field == "it") a.it = scan.number();
+    else if (field == "ct") a.ct = scan.number();
+    else if (field == "ot") a.ot = scan.number();
+    else if (field == "fm") a.fm = scan.number();
+    else if (field == "im") a.im = scan.number();
+    else if (field == "cm") a.cm = scan.number();
+    else if (field == "om") a.om = scan.number();
+    else if (field == "weight") a.weight = scan.number();
+    else if (field == "itv") a.itv = scan.integer();
     else throw std::runtime_error("serve json: unknown analysis field '" + field + "'");
-    if (!scan.accept(',')) break;
-  }
-  scan.expect('}');
+  });
   return a;
 }
 
-scheduler::ScheduleProblem problem_from_scanner(Scanner& scan) {
+scheduler::ScheduleProblem problem_from_reader(json::Reader& scan) {
   scheduler::ScheduleProblem p;
-  scan.expect('{');
-  if (scan.accept('}')) return p;
-  while (true) {
-    const std::string field = scan.string_value();
-    scan.expect(':');
-    if (field == "steps") p.steps = scan.integer_value();
-    else if (field == "threshold") p.threshold = scan.number_value();
-    else if (field == "threshold_kind") p.threshold_kind = parse_kind(scan.string_value());
-    else if (field == "sim_time_per_step") p.sim_time_per_step = scan.number_value();
-    else if (field == "memory") p.mth = scan.number_value();
-    else if (field == "bandwidth") p.bw = scan.number_value();
-    else if (field == "output_policy") p.output_policy = parse_policy(scan.string_value());
-    else if (field == "analyses") {
-      scan.expect('[');
-      if (!scan.accept(']')) {
-        while (true) {
-          p.analyses.push_back(analysis_from_scanner(scan));
-          if (scan.accept(']')) break;
-          scan.expect(',');
-        }
-      }
-    } else {
-      throw std::runtime_error("serve json: unknown problem field '" + field + "'");
-    }
-    if (!scan.accept(',')) break;
-  }
-  scan.expect('}');
+  scan.object([&](const std::string& field) {
+    if (field == "steps") p.steps = scan.integer();
+    else if (field == "threshold") p.threshold = scan.number();
+    else if (field == "threshold_kind") p.threshold_kind = parse_kind(scan.string());
+    else if (field == "sim_time_per_step") p.sim_time_per_step = scan.number();
+    else if (field == "memory") p.mth = scan.number();
+    else if (field == "bandwidth") p.bw = scan.number();
+    else if (field == "output_policy") p.output_policy = parse_policy(scan.string());
+    else if (field == "analyses")
+      scan.array([&] { p.analyses.push_back(analysis_from_reader(scan)); });
+    else throw std::runtime_error("serve json: unknown problem field '" + field + "'");
+  });
   return p;
 }
 
@@ -292,7 +133,7 @@ std::string problem_to_json(const scheduler::ScheduleProblem& problem) {
     const scheduler::AnalysisParams& a = problem.analyses[i];
     if (i) out += ',';
     out += "{\"name\":";
-    append_escaped(out, a.name);
+    json::append_string(out, a.name);
     out += format(",\"ft\":%.17g,\"it\":%.17g,\"ct\":%.17g", a.ft, a.it, a.ct);
     if (a.ot >= 0.0) out += format(",\"ot\":%.17g", a.ot);
     out += format(",\"fm\":%.17g,\"im\":%.17g,\"cm\":%.17g,\"om\":%.17g,\"weight\":%.17g,"
@@ -304,8 +145,8 @@ std::string problem_to_json(const scheduler::ScheduleProblem& problem) {
 }
 
 scheduler::ScheduleProblem problem_from_json(const std::string& text) {
-  Scanner scan(text);
-  scheduler::ScheduleProblem p = problem_from_scanner(scan);
+  json::Reader scan(text);
+  scheduler::ScheduleProblem p = problem_from_reader(scan);
   scan.expect_end();
   return p;
 }
@@ -314,7 +155,7 @@ std::string request_to_json(const ServeRequest& request) {
   std::string out = format("{\"op\":\"%s\"", to_string(request.op));
   if (!request.id.empty()) {
     out += ",\"id\":";
-    append_escaped(out, request.id);
+    json::append_string(out, request.id);
   }
   if (request.deadline_ms > 0.0) out += format(",\"deadline_ms\":%.17g", request.deadline_ms);
   if (request.formulation)
@@ -329,7 +170,7 @@ std::string request_to_json(const ServeRequest& request) {
   if (request.op == RequestOp::kReschedule) {
     if (!request.handle.empty()) {
       out += ",\"handle\":";
-      append_escaped(out, request.handle);
+      json::append_string(out, request.handle);
     }
     if (!request.measured.empty()) {
       out += ",\"measured\":[";
@@ -337,7 +178,7 @@ std::string request_to_json(const ServeRequest& request) {
         const MeasuredCost& m = request.measured[i];
         if (i) out += ',';
         out += "{\"name\":";
-        append_escaped(out, m.name);
+        json::append_string(out, m.name);
         if (!std::isnan(m.ct)) out += format(",\"ct\":%.17g", m.ct);
         if (!std::isnan(m.ot)) out += format(",\"ot\":%.17g", m.ot);
         if (!std::isnan(m.cm)) out += format(",\"cm\":%.17g", m.cm);
@@ -352,89 +193,67 @@ std::string request_to_json(const ServeRequest& request) {
 
 ServeRequest request_from_json(const std::string& line) {
   ServeRequest request;
-  bool have_problem = false;
-  Scanner scan(line);
-  scan.expect('{');
-  if (!scan.accept('}')) {
-    while (true) {
-      const std::string field = scan.string_value();
-      scan.expect(':');
-      if (field == "op") {
-        const std::string op = scan.string_value();
-        if (op == "solve") request.op = RequestOp::kSolve;
-        else if (op == "reschedule") request.op = RequestOp::kReschedule;
-        else if (op == "ping") request.op = RequestOp::kPing;
-        else if (op == "metrics") request.op = RequestOp::kMetrics;
-        else if (op == "shutdown") request.op = RequestOp::kShutdown;
-        else throw std::runtime_error("serve json: unknown op '" + op + "'");
-      } else if (field == "id") {
-        request.id = scan.string_value();
-      } else if (field == "deadline_ms") {
-        request.deadline_ms = scan.number_value();
-      } else if (field == "formulation") {
-        const std::string text = scan.string_value();
-        if (text == "aggregate") request.formulation = scheduler::Formulation::kAggregate;
-        else if (text == "time_expanded" || text == "timeexp")
-          request.formulation = scheduler::Formulation::kTimeExpanded;
-        else throw std::runtime_error("serve json: unknown formulation '" + text + "'");
-      } else if (field == "problem") {
-        request.problem = problem_from_scanner(scan);
-        have_problem = true;
-      } else if (field == "problem_ini") {
-        // Planner-config passthrough: lenient build so value-level mistakes
-        // reach the linter as structured diagnostics instead of a protocol
-        // error; structural breakage still throws (and becomes kError).
-        request.problem =
-            scheduler::problem_from_config_lenient(Config::parse(scan.string_value()));
-        have_problem = true;
-      } else if (field == "handle") {
-        request.handle = scan.string_value();
-      } else if (field == "measured") {
-        scan.expect('[');
-        if (!scan.accept(']')) {
-          while (true) {
-            MeasuredCost m;
-            scan.expect('{');
-            if (!scan.accept('}')) {
-              while (true) {
-                const std::string key = scan.string_value();
-                scan.expect(':');
-                if (key == "name") m.name = scan.string_value();
-                else if (key == "ct") m.ct = scan.number_value();
-                else if (key == "ot") m.ot = scan.number_value();
-                else if (key == "cm") m.cm = scan.number_value();
-                else
-                  throw std::runtime_error("serve json: unknown measured field '" + key + "'");
-                if (!scan.accept(',')) break;
-              }
-              scan.expect('}');
-            }
-            if (m.name.empty())
-              throw std::runtime_error("serve json: measured entry carries no name");
-            request.measured.push_back(std::move(m));
-            if (scan.accept(']')) break;
-            scan.expect(',');
-          }
-        }
-      } else {
-        throw std::runtime_error("serve json: unknown request field '" + field + "'");
-      }
-      if (!scan.accept(',')) break;
+  json::Reader scan(line);
+  scan.object([&](const std::string& field) {
+    if (field == "op") {
+      const std::string op = scan.string();
+      if (op == "solve") request.op = RequestOp::kSolve;
+      else if (op == "reschedule") request.op = RequestOp::kReschedule;
+      else if (op == "ping") request.op = RequestOp::kPing;
+      else if (op == "metrics") request.op = RequestOp::kMetrics;
+      else if (op == "shutdown") request.op = RequestOp::kShutdown;
+      else throw std::runtime_error("serve json: unknown op '" + op + "'");
+    } else if (field == "id") {
+      request.id = scan.string();
+    } else if (field == "deadline_ms") {
+      request.deadline_ms = scan.number();
+    } else if (field == "formulation") {
+      const std::string text = scan.string();
+      if (text == "aggregate") request.formulation = scheduler::Formulation::kAggregate;
+      else if (text == "time_expanded" || text == "timeexp")
+        request.formulation = scheduler::Formulation::kTimeExpanded;
+      else throw std::runtime_error("serve json: unknown formulation '" + text + "'");
+    } else if (field == "problem") {
+      request.problem = problem_from_reader(scan);
+      request.has_problem = true;
+    } else if (field == "problem_ini") {
+      // Planner-config passthrough: lenient build so value-level mistakes
+      // reach the linter as structured diagnostics instead of a protocol
+      // error; structural breakage still throws (and becomes kError).
+      request.problem =
+          scheduler::problem_from_config_lenient(Config::parse(scan.string()));
+      request.has_problem = true;
+    } else if (field == "handle") {
+      request.handle = scan.string();
+    } else if (field == "measured") {
+      scan.array([&] {
+        MeasuredCost m;
+        scan.object([&](const std::string& key) {
+          if (key == "name") m.name = scan.string();
+          else if (key == "ct") m.ct = scan.number();
+          else if (key == "ot") m.ot = scan.number();
+          else if (key == "cm") m.cm = scan.number();
+          else throw std::runtime_error("serve json: unknown measured field '" + key + "'");
+        });
+        if (m.name.empty())
+          throw std::runtime_error("serve json: measured entry carries no name");
+        request.measured.push_back(std::move(m));
+      });
+    } else {
+      throw std::runtime_error("serve json: unknown request field '" + field + "'");
     }
-    scan.expect('}');
-  }
+  });
   scan.expect_end();
-  if (request.op == RequestOp::kSolve && !have_problem)
+  if (request.op == RequestOp::kSolve && !request.has_problem)
     throw std::runtime_error("serve json: solve request carries no problem");
-  if (request.op == RequestOp::kReschedule && !have_problem && request.handle.empty())
+  if (request.op == RequestOp::kReschedule && !request.has_problem && request.handle.empty())
     throw std::runtime_error("serve json: reschedule request carries neither handle nor problem");
-  request.has_problem = have_problem;
   return request;
 }
 
 std::string response_to_json(const ServeResponse& response) {
   std::string out = "{\"id\":";
-  append_escaped(out, response.id);
+  json::append_string(out, response.id);
   out += format(",\"status\":\"%s\",\"cache_hit\":%s,\"coalesced\":%s,\"proven_optimal\":%s,"
                 "\"degraded\":%s,\"objective\":%.17g,\"latency_ms\":%.6g",
                 to_string(response.status), response.cache_hit ? "true" : "false",
@@ -442,7 +261,7 @@ std::string response_to_json(const ServeResponse& response) {
                 response.degraded ? "true" : "false", response.objective, response.latency_ms);
   if (!response.message.empty()) {
     out += ",\"message\":";
-    append_escaped(out, response.message);
+    json::append_string(out, response.message);
   }
   if (!response.lint_json.empty()) {
     out += ",\"lint\":";
@@ -454,11 +273,11 @@ std::string response_to_json(const ServeResponse& response) {
   }
   if (!response.metrics_text.empty()) {
     out += ",\"metrics_text\":";
-    append_escaped(out, response.metrics_text);
+    json::append_string(out, response.metrics_text);
   }
   if (!response.handle.empty()) {
     out += ",\"handle\":";
-    append_escaped(out, response.handle);
+    json::append_string(out, response.handle);
     out += format(",\"warm\":%s", response.warm ? "true" : "false");
   }
   out += '}';
@@ -467,43 +286,36 @@ std::string response_to_json(const ServeResponse& response) {
 
 ServeResponse response_from_json(const std::string& line) {
   ServeResponse response;
-  Scanner scan(line);
-  scan.expect('{');
-  if (!scan.accept('}')) {
-    while (true) {
-      const std::string field = scan.string_value();
-      scan.expect(':');
-      if (field == "id") response.id = scan.string_value();
-      else if (field == "status") {
-        const std::string text = scan.string_value();
-        bool known = false;
-        for (const ResponseStatus s :
-             {ResponseStatus::kOk, ResponseStatus::kDegraded, ResponseStatus::kInfeasible,
-              ResponseStatus::kLintRejected, ResponseStatus::kRejected, ResponseStatus::kError}) {
-          if (text == to_string(s)) {
-            response.status = s;
-            known = true;
-            break;
-          }
+  json::Reader scan(line);
+  scan.object([&](const std::string& field) {
+    if (field == "id") response.id = scan.string();
+    else if (field == "status") {
+      const std::string text = scan.string();
+      bool known = false;
+      for (const ResponseStatus s :
+           {ResponseStatus::kOk, ResponseStatus::kDegraded, ResponseStatus::kInfeasible,
+            ResponseStatus::kLintRejected, ResponseStatus::kRejected, ResponseStatus::kError}) {
+        if (text == to_string(s)) {
+          response.status = s;
+          known = true;
+          break;
         }
-        if (!known) throw std::runtime_error("serve json: unknown status '" + text + "'");
-      } else if (field == "cache_hit") response.cache_hit = scan.bool_value();
-      else if (field == "coalesced") response.coalesced = scan.bool_value();
-      else if (field == "proven_optimal") response.proven_optimal = scan.bool_value();
-      else if (field == "degraded") response.degraded = scan.bool_value();
-      else if (field == "objective") response.objective = scan.number_value();
-      else if (field == "latency_ms") response.latency_ms = scan.number_value();
-      else if (field == "message") response.message = scan.string_value();
-      else if (field == "lint") response.lint_json = scan.raw_value();
-      else if (field == "solution") response.solution_json = scan.raw_value();
-      else if (field == "metrics_text") response.metrics_text = scan.string_value();
-      else if (field == "handle") response.handle = scan.string_value();
-      else if (field == "warm") response.warm = scan.bool_value();
-      else throw std::runtime_error("serve json: unknown response field '" + field + "'");
-      if (!scan.accept(',')) break;
-    }
-    scan.expect('}');
-  }
+      }
+      if (!known) throw std::runtime_error("serve json: unknown status '" + text + "'");
+    } else if (field == "cache_hit") response.cache_hit = scan.boolean();
+    else if (field == "coalesced") response.coalesced = scan.boolean();
+    else if (field == "proven_optimal") response.proven_optimal = scan.boolean();
+    else if (field == "degraded") response.degraded = scan.boolean();
+    else if (field == "objective") response.objective = scan.number();
+    else if (field == "latency_ms") response.latency_ms = scan.number();
+    else if (field == "message") response.message = scan.string();
+    else if (field == "lint") response.lint_json = scan.raw();
+    else if (field == "solution") response.solution_json = scan.raw();
+    else if (field == "metrics_text") response.metrics_text = scan.string();
+    else if (field == "handle") response.handle = scan.string();
+    else if (field == "warm") response.warm = scan.boolean();
+    else throw std::runtime_error("serve json: unknown response field '" + field + "'");
+  });
   scan.expect_end();
   return response;
 }

@@ -2,9 +2,8 @@
 
 // Wire protocol of the scheduling daemon: newline-delimited JSON objects,
 // one request and one response per line (docs/SERVING.md has the full
-// schema). The codec is hand-rolled on the same minimal-scanner idiom as
-// scheduler/serialize.cpp — the payloads are small and flat, so no JSON
-// library is needed, and the daemon stays dependency-free.
+// schema), written and read with the support/json codec that
+// scheduler/serialize.cpp shares, so the daemon stays dependency-free.
 //
 // A request names an operation:
 //   solve      — lint, canonicalize, and schedule a ScheduleProblem, given

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
+#include "insched/casestudy/flash_sedov.hpp"
+#include "insched/casestudy/lammps_rhodo.hpp"
+#include "insched/casestudy/lammps_water.hpp"
 #include "insched/scheduler/cost_database.hpp"
 #include "insched/scheduler/serialize.hpp"
 #include "insched/scheduler/solver.hpp"
@@ -77,6 +81,38 @@ TEST(ScheduleJson, RejectsMalformedInput) {
   EXPECT_THROW((void)schedule_from_json(one("[2,9]", "[]")), std::runtime_error);    // past steps
   EXPECT_THROW((void)schedule_from_json(one("[2,5]", "[3]")), std::runtime_error);   // O not in C
   EXPECT_THROW((void)schedule_from_json("{\"steps\":-1,\"analyses\":[]}"), std::runtime_error);
+  // A step count past the range of a long is a decode error, not std::stol's
+  // std::out_of_range.
+  EXPECT_THROW((void)schedule_from_json("{\"steps\":12345678901234567890,\"analyses\":[]}"),
+               std::runtime_error);
+  EXPECT_THROW((void)schedule_from_json(one("[2.5]", "[]")), std::runtime_error);
+  EXPECT_THROW((void)schedule_from_json(one("[2,5]", "[5]") + "x"), std::runtime_error);
+}
+
+TEST(ScheduleJson, EscapedNamesDecode) {
+  const std::string json = "{\"steps\":8,\"analyses\":[{\"name\":\"r\\u0064f caf\\u00e9 \\b\\f\","
+                           "\"analysis_steps\":[2],\"output_steps\":[]}]}";
+  EXPECT_EQ(schedule_from_json(json).analysis(0).name, "rdf caf\xc3\xa9 \b\f");
+}
+
+TEST(ScheduleJson, CaseStudyPrefixesParseOrThrowRuntimeError) {
+  for (const ScheduleProblem& p :
+       {casestudy::water_ions_problem(16384, 0.08), casestudy::rhodopsin_problem(100.0),
+        casestudy::flash_problem({2.0, 1.0, 2.0}, 0.08)}) {
+    const ScheduleSolution solution = solve_schedule(p);
+    ASSERT_TRUE(solution.solved);
+    const std::string line = schedule_to_json(solution.schedule);
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      try {
+        (void)schedule_from_json(line.substr(0, n));
+      } catch (const std::runtime_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "prefix of " << n << " bytes threw " << e.what() << "\n" << line;
+        break;
+      }
+    }
+    EXPECT_EQ(schedule_to_json(schedule_from_json(line)), line);
+  }
 }
 
 TEST(SolutionJson, CarriesSolverResults) {

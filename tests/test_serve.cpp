@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "insched/casestudy/flash_sedov.hpp"
@@ -430,6 +431,65 @@ TEST(Protocol, MalformedInputThrows) {
   EXPECT_THROW((void)serve::response_from_json("{"), std::runtime_error);
 }
 
+/// True when `line` holds no byte below 0x20: a valid single JSON line.
+bool no_control_bytes(const std::string& line) {
+  return std::none_of(line.begin(), line.end(),
+                      [](char c) { return static_cast<unsigned char>(c) < 0x20; });
+}
+
+TEST(Protocol, NonAsciiAndControlBytesRoundTrip) {
+  const std::string odd = "caf\xc3\xa9 \x01 \r";
+  ScheduleProblem p = two_analysis_problem();
+  p.analyses[0].name = "alpha " + odd;
+  p.analyses[1].name = "\x01\xc3\xa9\r";
+  const std::string line = serve::request_to_json(solve_request(p, odd));
+  EXPECT_TRUE(no_control_bytes(line)) << line;
+  const serve::ServeRequest parsed = serve::request_from_json(line);
+  EXPECT_EQ(parsed.id, odd);
+  ASSERT_EQ(parsed.problem.analyses.size(), 2u);
+  EXPECT_EQ(parsed.problem.analyses[0].name, p.analyses[0].name);
+  EXPECT_EQ(parsed.problem.analyses[1].name, p.analyses[1].name);
+
+  serve::ServeResponse response;
+  response.id = odd;
+  response.status = serve::ResponseStatus::kError;
+  response.message = "json: unknown op 'fl\x01y'";
+  response.metrics_text = "line one\nline two\t" + odd;
+  const std::string answer = serve::response_to_json(response);
+  EXPECT_TRUE(no_control_bytes(answer)) << answer;
+  const serve::ServeResponse back = serve::response_from_json(answer);
+  EXPECT_EQ(back.id, odd);
+  EXPECT_EQ(back.message, response.message);
+  EXPECT_EQ(back.metrics_text, response.metrics_text);
+
+  // What Python's json.dumps sends by default: every non-ASCII character as
+  // a \uXXXX escape.
+  const serve::ServeRequest ping =
+      serve::request_from_json(R"({"op":"ping","id":"caf\u00e9 \ud83d\ude00"})");
+  EXPECT_EQ(ping.id, "caf\xc3\xa9 \xf0\x9f\x98\x80");
+}
+
+TEST(Protocol, NonIntegralOrNonFiniteNumbersThrow) {
+  const std::string line = serve::request_to_json(solve_request(two_analysis_problem(), "n"));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.substr(0, at) + to + line.substr(at + from.size());
+  };
+  EXPECT_NO_THROW((void)serve::request_from_json(with("\"steps\":100", "\"steps\":1e2")));
+  for (const std::string& bad :
+       {with("\"steps\":100", "\"steps\":1e300"), with("\"steps\":100", "\"steps\":nan"),
+        with("\"steps\":100", "\"steps\":100000000000000000000"),
+        with("\"itv\":2", "\"itv\":2.5"), with("\"threshold\":50", "\"threshold\":inf"),
+        with("\"id\":\"n\"", "\"id\":\"n\",\"deadline_ms\":-inf")})
+    EXPECT_THROW((void)serve::request_from_json(bad), std::runtime_error) << bad;
+}
+
+TEST(Protocol, DeeplyNestedResponseThrows) {
+  const std::string line = "{\"id\":\"x\",\"solution\":" + std::string(200000, '[');
+  EXPECT_THROW((void)serve::response_from_json(line), std::runtime_error);
+}
+
 TEST(Protocol, ExitCodesMatchSubmitContract) {
   EXPECT_EQ(serve::exit_code(serve::ResponseStatus::kOk), 0);
   EXPECT_EQ(serve::exit_code(serve::ResponseStatus::kInfeasible), 1);
@@ -446,6 +506,54 @@ serve::EngineOptions engine_options() {
   serve::EngineOptions options;
   options.solve.mip.threads = 1;
   return options;
+}
+
+/// Every prefix of `line` decodes or throws std::runtime_error; no other
+/// exception type escapes. The whole line decodes.
+template <typename Decode>
+void expect_prefixes_parse_or_throw(const std::string& line, Decode decode) {
+  for (std::size_t n = 0; n < line.size(); ++n) {
+    try {
+      (void)decode(line.substr(0, n));
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "prefix of " << n << " bytes threw " << typeid(e).name() << ": "
+                    << e.what() << "\n" << line;
+      return;
+    }
+  }
+  EXPECT_NO_THROW((void)decode(line)) << line;
+}
+
+TEST(MalformedInput, CaseStudyRequestAndResponsePrefixes) {
+  serve::ServeEngine engine(engine_options());
+  const std::vector<ScheduleProblem> problems = {
+      casestudy::water_ions_problem(16384, 0.08), casestudy::rhodopsin_problem(100.0),
+      casestudy::flash_problem({2.0, 1.0, 2.0}, 0.08)};
+  for (const ScheduleProblem& p : problems) {
+    const serve::ServeRequest solve = solve_request(p, "case-study");
+    serve::ServeRequest reschedule;
+    reschedule.op = serve::RequestOp::kReschedule;
+    reschedule.id = "resched";
+    reschedule.handle = "r1";
+    for (const AnalysisParams& a : p.analyses) {
+      serve::MeasuredCost m;
+      m.name = a.name;
+      m.ct = a.ct * 1.1;
+      reschedule.measured.push_back(m);
+    }
+    ScheduleProblem broken = p;
+    broken.analyses[0].ct = -1.0;  // lint-rejected: the response carries lint JSON
+    const serve::ServeResponse answer = engine.handle(solve);
+    ASSERT_EQ(answer.status, serve::ResponseStatus::kOk) << answer.message;
+    const serve::ServeResponse rejected = engine.handle(solve_request(broken, "broken"));
+    ASSERT_EQ(rejected.status, serve::ResponseStatus::kLintRejected);
+
+    for (const serve::ServeRequest& r : {solve, reschedule})
+      expect_prefixes_parse_or_throw(serve::request_to_json(r), serve::request_from_json);
+    for (const serve::ServeResponse& r : {answer, rejected})
+      expect_prefixes_parse_or_throw(serve::response_to_json(r), serve::response_from_json);
+  }
 }
 
 TEST(Engine, CacheHitMatchesFreshObjectiveAndIsFarFaster) {

@@ -1,14 +1,18 @@
 // Tests for the support utilities: RNG determinism, statistics, string and
-// table formatting, parallel helpers.
+// table formatting, the JSON codec, parallel helpers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "insched/support/json.hpp"
 #include "insched/support/parallel.hpp"
 #include "insched/support/random.hpp"
 #include "insched/support/stats.hpp"
@@ -144,6 +148,102 @@ TEST(TableRender, AlignsColumns) {
   EXPECT_NE(out.find("| alpha | 1.5"), std::string::npos);
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
+}
+
+std::string json_string_of(const std::string& text) {
+  json::Reader reader(text);
+  std::string out = reader.string();
+  reader.expect_end();
+  return out;
+}
+
+double json_number_of(const std::string& text) {
+  json::Reader reader(text);
+  const double out = reader.number();
+  reader.expect_end();
+  return out;
+}
+
+long json_integer_of(const std::string& text) {
+  json::Reader reader(text);
+  const long out = reader.integer();
+  reader.expect_end();
+  return out;
+}
+
+TEST(Json, EveryByteRoundTrips) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string text = std::string("a") + static_cast<char>(byte) + "z";
+    std::string encoded;
+    json::append_string(encoded, text);
+    for (std::size_t i = 0; i < encoded.size(); ++i)
+      EXPECT_GE(static_cast<unsigned char>(encoded[i]), 0x20) << "byte " << byte;
+    EXPECT_EQ(json_string_of(encoded), text) << "byte " << byte;
+  }
+}
+
+TEST(Json, WriterEscapesUseShortFormsAndCopiesUtf8) {
+  std::string out;
+  json::append_string(out, "q\"b\\\b\f\n\r\t\x01\x1f caf\xc3\xa9");
+  EXPECT_EQ(out, "\"q\\\"b\\\\\\b\\f\\n\\r\\t\\u0001\\u001f caf\xc3\xa9\"");
+}
+
+TEST(Json, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(json_string_of("\"caf\\u00e9\""), "caf\xc3\xa9");
+  EXPECT_EQ(json_string_of("\"\\ud83d\\ude00\""), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(json_string_of("\"\\u20AC\""), "\xe2\x82\xac");
+  EXPECT_EQ(json_string_of("\"r\\u0064f \\/ \\b\\f\""), "rdf / \b\f");
+  EXPECT_THROW((void)json_string_of("\"\\ud83d\""), std::runtime_error);         // lone high
+  EXPECT_THROW((void)json_string_of("\"\\ud83dx\""), std::runtime_error);
+  EXPECT_THROW((void)json_string_of("\"\\ud83d\\u0041\""), std::runtime_error);  // no low half
+  EXPECT_THROW((void)json_string_of("\"\\ude00\""), std::runtime_error);         // lone low
+  EXPECT_THROW((void)json_string_of("\"\\u00g1\""), std::runtime_error);
+  EXPECT_THROW((void)json_string_of("\"\\u00\""), std::runtime_error);
+  EXPECT_THROW((void)json_string_of("\"\\x\""), std::runtime_error);
+  EXPECT_THROW((void)json_string_of("\"abc"), std::runtime_error);
+}
+
+TEST(Json, NumbersAreFinite) {
+  EXPECT_DOUBLE_EQ(json_number_of("-0.25e2"), -25.0);
+  EXPECT_DOUBLE_EQ(json_number_of(" 1E+2 "), 100.0);
+  EXPECT_DOUBLE_EQ(json_number_of("1e-400"), 0.0);  // underflow reads as zero
+  for (const char* bad :
+       {"nan", "inf", "-inf", "1e400", "+1", ".5", "1.", "1e", "-", "0x10", "01", ""})
+    EXPECT_THROW((void)json_number_of(bad), std::runtime_error) << bad;
+}
+
+TEST(Json, IntegersAreIntegralAndFitLong) {
+  EXPECT_EQ(json_integer_of("42"), 42);
+  EXPECT_EQ(json_integer_of("3.0"), 3);
+  EXPECT_EQ(json_integer_of("1e3"), 1000);
+  EXPECT_EQ(json_integer_of("-9223372036854775808"), std::numeric_limits<long>::min());
+  EXPECT_EQ(json_integer_of("9223372036854775807"), std::numeric_limits<long>::max());
+  for (const char* bad : {"2.5", "1e300", "9223372036854775808", "9.3e18", "nan", "true"})
+    EXPECT_THROW((void)json_integer_of(bad), std::runtime_error) << bad;
+}
+
+TEST(Json, RawCapsNestingAt64) {
+  const auto raw_of = [](const std::string& text) {
+    json::Reader reader(text);
+    std::string out = reader.raw();
+    reader.expect_end();
+    return out;
+  };
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(raw_of(nested(json::Reader::kMaxDepth)), nested(json::Reader::kMaxDepth));
+  EXPECT_THROW((void)raw_of(nested(json::Reader::kMaxDepth + 1)), std::runtime_error);
+
+  const std::string value = R"({"a": [1, -2.5e3, "x\"y", true, false, null, {}], "b": {}})";
+  const std::string line = value + " ,";
+  json::Reader mixed(line);
+  EXPECT_EQ(mixed.raw(), value);
+  EXPECT_TRUE(mixed.accept(','));
+  mixed.expect_end();
+  for (const char* bad : {"[1,]", "{\"a\"}", "[nan]", "[1 2]", "{1:2}", "tru", "[\"\\q\"]"})
+    EXPECT_THROW((void)raw_of(bad), std::runtime_error) << bad;
 }
 
 TEST(Parallel, ForCoversAllIndices) {

@@ -59,11 +59,6 @@ void Model::set_type(int column, VarType type) {
   columns_[static_cast<std::size_t>(column)].type = type;
 }
 
-void Model::set_row_kind(int row, RowKind kind) {
-  INSCHED_EXPECTS(row >= 0 && row < num_rows());
-  rows_[static_cast<std::size_t>(row)].kind = kind;
-}
-
 void Model::set_row_coeff(int row, int entry_index, double coeff) {
   INSCHED_EXPECTS(row >= 0 && row < num_rows());
   auto& entries = rows_[static_cast<std::size_t>(row)].entries;

@@ -4,7 +4,6 @@
 // (+-infinity allowed), rows are linear constraints. The same Model feeds the
 // pure-LP simplex (integrality ignored) and the branch-and-bound MIP solver.
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,17 +17,6 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 enum class Sense { kMinimize, kMaximize };
 enum class RowType { kLe, kGe, kEq };
 enum class VarType { kContinuous, kInteger, kBinary };
-
-/// Optional structure hint attached to a row by the model builder. Cut
-/// separators use it to go straight to the rows a cut family targets
-/// (knapsack covers on budget rows, GUB/clique cuts on interval windows)
-/// instead of pattern-scanning the whole matrix; kGeneric rows are still
-/// scanned, so hints are an accelerator, never a correctness requirement.
-enum class RowKind : std::uint8_t {
-  kGeneric,   ///< no structural promise
-  kBudget,    ///< additive resource budget (paper Eqs 2-8 collapsed rows)
-  kInterval,  ///< GUB/cardinality window: sum of binaries <= small rhs (Eq 9)
-};
 
 struct Column {
   std::string name;
@@ -46,7 +34,6 @@ struct RowEntry {
 struct Row {
   std::string name;
   RowType type = RowType::kLe;
-  RowKind kind = RowKind::kGeneric;
   double rhs = 0.0;
   std::vector<RowEntry> entries;
 };
@@ -73,7 +60,6 @@ class Model {
   void set_objective(int column, double coeff);
   void set_bounds(int column, double lower, double upper);
   void set_type(int column, VarType type);
-  void set_row_kind(int row, RowKind kind);
   /// Overwrites the coefficient of the `entry_index`-th entry of `row`
   /// (presolve coefficient tightening; does not add/remove entries).
   void set_row_coeff(int row, int entry_index, double coeff);

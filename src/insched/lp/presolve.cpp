@@ -183,9 +183,7 @@ PresolveResult presolve(const Model& model) {
       ++out.removed_rows;
       continue;
     }
-    const int r =
-        out.reduced.add_row(row.name, row.type, row.rhs - fixed_activity, std::move(entries));
-    out.reduced.set_row_kind(r, row.kind);
+    out.reduced.add_row(row.name, row.type, row.rhs - fixed_activity, std::move(entries));
   }
   return out;
 }

@@ -69,6 +69,33 @@ using Clock = std::chrono::steady_clock;
 
 enum class Cause : int { kNone = 0, kNodeLimit = 1, kTimeLimit = 2, kWorkLimit = 3 };
 
+/// Everything observable from one LP solve, as MipCounters fields:
+/// factorization stats plus any recovery-ladder rungs the engine had to
+/// take. `add(field, by)` accumulates one field.
+template <class Add>
+void for_each_lp_stat(const lp::SimplexResult& res, Add&& add) {
+  const lp::FactorStats& fs = res.factor_stats;
+  add(&MipCounters::lp_ftran, fs.ftran_calls);
+  add(&MipCounters::lp_btran, fs.btran_calls);
+  add(&MipCounters::lp_refactorizations, fs.refactorizations);
+  add(&MipCounters::lp_eta_pivots, fs.eta_pivots);
+  add(&MipCounters::lp_rhs_nonzeros, fs.rhs_nonzeros);
+  add(&MipCounters::lp_rhs_dimension, fs.rhs_dimension);
+  add(&MipCounters::lp_lu_input_nnz, fs.lu_input_nnz);
+  add(&MipCounters::lp_lu_factor_nnz, fs.lu_factor_nnz);
+  add(&MipCounters::lp_staircase_orderings, fs.staircase_orderings);
+  add(&MipCounters::lp_staircase_fallbacks, fs.staircase_fallbacks);
+  add(&MipCounters::lp_ftran_dense, fs.ftran_dense);
+  add(&MipCounters::lp_btran_dense, fs.btran_dense);
+  const lp::RecoveryStats& rc = res.recovery;
+  if (rc.total() == 0) return;
+  add(&MipCounters::lp_recover_refactor, rc.refactor_tightened);
+  add(&MipCounters::lp_recover_repair, rc.singular_repairs);
+  add(&MipCounters::lp_recover_perturb, rc.perturbations);
+  add(&MipCounters::lp_recover_residual, rc.residual_failures);
+  add(&MipCounters::lp_recover_resolve, rc.resolves);
+}
+
 class Search {
  public:
   Search(const lp::Model& model, const MipOptions& opt,
@@ -208,29 +235,8 @@ class Search {
     std::atomic_ref<long>(counters_.*field).fetch_add(by, std::memory_order_relaxed);
   }
 
-  /// Accumulates everything observable from one LP solve: factorization
-  /// stats plus any recovery-ladder rungs the engine had to take.
   void add_lp_stats(const lp::SimplexResult& res) {
-    const lp::FactorStats& fs = res.factor_stats;
-    bump(&MipCounters::lp_ftran, fs.ftran_calls);
-    bump(&MipCounters::lp_btran, fs.btran_calls);
-    bump(&MipCounters::lp_refactorizations, fs.refactorizations);
-    bump(&MipCounters::lp_eta_pivots, fs.eta_pivots);
-    bump(&MipCounters::lp_rhs_nonzeros, fs.rhs_nonzeros);
-    bump(&MipCounters::lp_rhs_dimension, fs.rhs_dimension);
-    bump(&MipCounters::lp_lu_input_nnz, fs.lu_input_nnz);
-    bump(&MipCounters::lp_lu_factor_nnz, fs.lu_factor_nnz);
-    bump(&MipCounters::lp_staircase_orderings, fs.staircase_orderings);
-    bump(&MipCounters::lp_staircase_fallbacks, fs.staircase_fallbacks);
-    bump(&MipCounters::lp_ftran_dense, fs.ftran_dense);
-    bump(&MipCounters::lp_btran_dense, fs.btran_dense);
-    const lp::RecoveryStats& rc = res.recovery;
-    if (rc.total() == 0) return;
-    bump(&MipCounters::lp_recover_refactor, rc.refactor_tightened);
-    bump(&MipCounters::lp_recover_repair, rc.singular_repairs);
-    bump(&MipCounters::lp_recover_perturb, rc.perturbations);
-    bump(&MipCounters::lp_recover_residual, rc.residual_failures);
-    bump(&MipCounters::lp_recover_resolve, rc.resolves);
+    for_each_lp_stat(res, [this](long MipCounters::*field, long by) { bump(field, by); });
   }
 
   [[nodiscard]] bool work_limit_hit() const noexcept {
@@ -927,6 +933,10 @@ void Search::finalize(bool proved) {
     const CutPoolCounters cc = cut_pool_->counters();
     counters_.cuts_separated = cc.separated;
     counters_.cuts_applied = cc.applied;
+    counters_.cuts_applied_cover = cc.applied_cover;
+    counters_.cuts_applied_clique = cc.applied_clique;
+    counters_.cuts_applied_gomory = cc.applied_gomory;
+    counters_.cuts_applied_mir = cc.applied_mir;
     counters_.cuts_aged = cc.aged_out;
     counters_.cuts_duplicate = cc.duplicates;
     counters_.cuts_evicted = cc.evicted;
@@ -1239,7 +1249,11 @@ MipResult Search::run() {
   // the working root, so no recovery pass is needed here.
   cut_pool_ = std::make_unique<CutPool>(std::max(1, opt_.cut_max_age),
                                         std::max(0, opt_.cut_pool_capacity));
-  if (opt_.use_clique_cuts) conflicts_.build(base_, implications_);
+  if (opt_.use_clique_cuts) {
+    conflicts_.build(base_, implications_);
+    counters_.conflict_cliques = conflicts_.cliques();
+    counters_.conflict_edges = conflicts_.edges();
+  }
   root_x_ = root.x;
   if (cuts_enabled()) {
     for (int round = 0; round < opt_.max_cut_rounds; ++round) {
@@ -1350,6 +1364,7 @@ MipResult solve_mip(const lp::Model& model, const MipOptions& options) {
     out.best_bound = res.objective;
     out.x = res.x;
     out.lp_iterations = res.iterations;
+    for_each_lp_stat(res, [&out](long MipCounters::*field, long by) { out.counters.*field += by; });
     switch (res.status) {
       case lp::SolveStatus::kOptimal: out.termination = MipTermination::kProvedOptimal; break;
       case lp::SolveStatus::kInfeasible:

@@ -225,10 +225,16 @@ struct MipCounters {
   // Cutting-plane engine (root rounds + in-tree separation via the pool).
   long cuts_separated = 0;   ///< cuts offered to the pool by all separators
   long cuts_applied = 0;     ///< cuts selected out of the pool
+  long cuts_applied_cover = 0;   ///< of cuts_applied: covers, lifted or not
+  long cuts_applied_clique = 0;  ///< of cuts_applied: clique cuts
+  long cuts_applied_gomory = 0;  ///< of cuts_applied: Gomory mixed-integer cuts
+  long cuts_applied_mir = 0;     ///< of cuts_applied: MIR cuts
   long cuts_aged = 0;        ///< pooled cuts dropped by aging
   long cuts_duplicate = 0;   ///< offers rejected as already seen
   long cuts_evicted = 0;     ///< pooled cuts evicted by the capacity cap
   long tree_restarts = 0;    ///< cut-and-branch restarts performed
+  long conflict_cliques = 0; ///< rows stored whole in the conflict graph's clique table
+  long conflict_edges = 0;   ///< explicit conflict-graph edges (partial rows, implications)
 
   // Numerical-recovery ladder, summed over every LP solve in the search
   // (lp::SimplexResult::recovery), plus the tree-level retry rungs
@@ -336,10 +342,16 @@ inline constexpr CounterField kMipCounterFields[] = {
     {"cut_warm_failed", &MipCounters::cut_warm_failed, CounterMerge::kSum},
     {"cuts_separated", &MipCounters::cuts_separated, CounterMerge::kSum},
     {"cuts_applied", &MipCounters::cuts_applied, CounterMerge::kSum},
+    {"cuts_applied_cover", &MipCounters::cuts_applied_cover, CounterMerge::kSum},
+    {"cuts_applied_clique", &MipCounters::cuts_applied_clique, CounterMerge::kSum},
+    {"cuts_applied_gomory", &MipCounters::cuts_applied_gomory, CounterMerge::kSum},
+    {"cuts_applied_mir", &MipCounters::cuts_applied_mir, CounterMerge::kSum},
     {"cuts_aged", &MipCounters::cuts_aged, CounterMerge::kSum},
     {"cuts_duplicate", &MipCounters::cuts_duplicate, CounterMerge::kSum},
     {"cuts_evicted", &MipCounters::cuts_evicted, CounterMerge::kSum},
     {"tree_restarts", &MipCounters::tree_restarts, CounterMerge::kSum},
+    {"conflict_cliques", &MipCounters::conflict_cliques, CounterMerge::kSum},
+    {"conflict_edges", &MipCounters::conflict_edges, CounterMerge::kSum},
     {"lp_recover_refactor", &MipCounters::lp_recover_refactor, CounterMerge::kSum},
     {"lp_recover_repair", &MipCounters::lp_recover_repair, CounterMerge::kSum},
     {"lp_recover_perturb", &MipCounters::lp_recover_perturb, CounterMerge::kSum},

@@ -27,6 +27,17 @@ std::uint64_t cut_hash(const Cut& cut) {
   return h;
 }
 
+long& applied_tally(CutPoolCounters& c, CutFamily family) {
+  switch (family) {
+    case CutFamily::kCover:
+    case CutFamily::kLiftedCover: return c.applied_cover;
+    case CutFamily::kClique: return c.applied_clique;
+    case CutFamily::kGomory: return c.applied_gomory;
+    case CutFamily::kMir: return c.applied_mir;
+  }
+  return c.applied_cover;
+}
+
 double entry_norm(const Cut& cut) {
   double s = 0.0;
   for (const lp::RowEntry& e : cut.entries) s += e.coeff * e.coeff;
@@ -136,6 +147,7 @@ std::vector<Cut> CutPool::select(const std::vector<double>& x, int max_cuts,
     if (parallel) continue;
     taken.push_back(s.index);
     out.push_back(cand.cut);
+    ++applied_tally(counters_, cand.cut.family);
   }
   counters_.applied += static_cast<long>(out.size());
 

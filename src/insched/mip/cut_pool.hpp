@@ -23,6 +23,10 @@ struct CutPoolCounters {
   long separated = 0;   ///< cuts offered via add()/add_all()
   long duplicates = 0;  ///< offers rejected as already seen (pooled or applied)
   long applied = 0;     ///< cuts handed out by select()
+  long applied_cover = 0;   ///< of `applied`: covers, lifted or not
+  long applied_clique = 0;  ///< of `applied`: clique cuts
+  long applied_gomory = 0;  ///< of `applied`: Gomory mixed-integer cuts
+  long applied_mir = 0;     ///< of `applied`: MIR cuts
   long aged_out = 0;    ///< cuts dropped after going unselected too long
   long evicted = 0;     ///< cuts displaced by the capacity cap
 };

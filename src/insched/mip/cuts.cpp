@@ -244,13 +244,13 @@ std::vector<Cut> generate_clique_cuts(const lp::Model& model, const std::vector<
                                       const ConflictGraph& conflicts, double min_violation,
                                       int max_cuts) {
   std::vector<Cut> cuts;
-  if (conflicts.edges() == 0) return cuts;
+  if (conflicts.empty()) return cuts;
   const int n = std::min(model.num_columns(), conflicts.columns());
   std::vector<int> cand;
   for (int j = 0; j < n; ++j) {
     if (x[static_cast<std::size_t>(j)] <= lp::tol::kCutSupportTol) continue;
     if (!binary_like(model.column(j))) continue;
-    if (conflicts.neighbors(j).empty()) continue;
+    if (!conflicts.has_conflicts(j)) continue;
     cand.push_back(j);
   }
   std::sort(cand.begin(), cand.end(), [&](int a, int b) {

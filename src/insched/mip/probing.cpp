@@ -469,8 +469,7 @@ lp::PresolveResult apply_probing(const lp::Model& model, const ProbingResult& re
       ++out.removed_rows;
       continue;
     }
-    const int r = out.reduced.add_row(row.name, row.type, rhs, std::move(entries));
-    out.reduced.set_row_kind(r, row.kind);
+    out.reduced.add_row(row.name, row.type, rhs, std::move(entries));
   }
 
   // Coefficient tightening pass over the rebuilt inequality rows. For a <=
@@ -536,19 +535,18 @@ void ConflictGraph::add_edge(int a, int b) {
 
 void ConflictGraph::build(const lp::Model& model, const std::vector<Implication>& implications,
                           int max_row_entries) {
-  resize(model.num_columns());
+  const auto n = static_cast<std::size_t>(model.num_columns());
+  adj_.assign(n, {});
+  cliques_of_.assign(n, {});
+  cliques_ = 0;
   const auto is_binary = [&](int j) {
     const lp::Column& c = model.column(j);
     return c.type != lp::VarType::kContinuous && c.lower == 0.0 && c.upper == 1.0;
   };
+  const auto member = [&](const lp::RowEntry& e) { return e.coeff > 0 && is_binary(e.column); };
   for (int i = 0; i < model.num_rows(); ++i) {
     const lp::Row& row = model.row(i);
     if (row.type == lp::RowType::kGe) continue;  // Le and Eq give an upper side
-    // Interval windows (Eq 9: sum of binaries <= small rhs) are structural
-    // clique rows, so they always participate regardless of width.
-    if (static_cast<int>(row.entries.size()) > max_row_entries &&
-        row.kind != lp::RowKind::kInterval)
-      continue;
     // min activity over the box; pairs whose joint activation must exceed rhs
     // even under the most forgiving completion conflict.
     double amin = 0.0;
@@ -563,31 +561,44 @@ void ConflictGraph::build(const lp::Model& model, const std::vector<Implication>
       amin += v;
     }
     if (!finite) continue;
-    // O(w) screen before the O(w^2) pair scan: if even the two largest
-    // positive binary coefficients cannot push the minimum activity past the
-    // rhs, no pair in this row conflicts. On the time-expanded models almost
-    // every interval window passes (rhs >= 2 per-step costs), so the scan
-    // below runs only on the handful of genuinely clique-like rows.
+    // The two largest and the two smallest positive binary coefficients
+    // bound every pair sum (min contributions of such columns are 0).
     double top1 = 0.0;
     double top2 = 0.0;
+    double low1 = lp::kInf;
+    double low2 = lp::kInf;
     for (const lp::RowEntry& e : row.entries) {
-      if (e.coeff <= 0 || !is_binary(e.column)) continue;
+      if (!member(e)) continue;
       if (e.coeff > top1) {
         top2 = top1;
         top1 = e.coeff;
       } else if (e.coeff > top2) {
         top2 = e.coeff;
       }
+      if (e.coeff < low1) {
+        low2 = low1;
+        low1 = e.coeff;
+      } else if (e.coeff < low2) {
+        low2 = e.coeff;
+      }
     }
-    if (top2 <= 0.0 || amin + top1 + top2 <= row.rhs + lp::tol::kFeasTol) continue;
+    const double bound = row.rhs + lp::tol::kFeasTol;
+    if (top2 <= 0.0 || amin + top1 + top2 <= bound) continue;  // no pair conflicts
+    // Every pair conflicts iff the cheapest one does; both summation orders
+    // are tested so the verdict matches the pair scan's row-order sums.
+    if (std::min(amin + low1 + low2, amin + low2 + low1) > bound) {
+      const int id = static_cast<int>(cliques_++);
+      for (const lp::RowEntry& e : row.entries)
+        if (member(e)) cliques_of_[static_cast<std::size_t>(e.column)].push_back(id);
+      continue;
+    }
+    if (static_cast<int>(row.entries.size()) > max_row_entries) continue;  // O(w^2) below
     for (std::size_t p = 0; p < row.entries.size(); ++p) {
       const lp::RowEntry& ep = row.entries[p];
-      if (ep.coeff <= 0 || !is_binary(ep.column)) continue;
+      if (!member(ep)) continue;
       for (std::size_t q = p + 1; q < row.entries.size(); ++q) {
         const lp::RowEntry& eq = row.entries[q];
-        if (eq.coeff <= 0 || !is_binary(eq.column)) continue;
-        // min contributions of p and q are 0 (positive coeff, binary).
-        if (amin + ep.coeff + eq.coeff > row.rhs + lp::tol::kFeasTol) add_edge(ep.column, eq.column);
+        if (member(eq) && amin + ep.coeff + eq.coeff > bound) add_edge(ep.column, eq.column);
       }
     }
   }
@@ -606,8 +617,17 @@ void ConflictGraph::build(const lp::Model& model, const std::vector<Implication>
 }
 
 bool ConflictGraph::adjacent(int a, int b) const {
+  if (a == b) return false;
   const auto& nb = adj_[static_cast<std::size_t>(a)];
-  return std::binary_search(nb.begin(), nb.end(), b);
+  if (std::binary_search(nb.begin(), nb.end(), b)) return true;
+  const auto& ca = cliques_of_[static_cast<std::size_t>(a)];
+  const auto& cb = cliques_of_[static_cast<std::size_t>(b)];
+  for (auto i = ca.begin(), j = cb.begin(); i != ca.end() && j != cb.end();) {
+    if (*i == *j) return true;
+    if (*i < *j) ++i;
+    else ++j;
+  }
+  return false;
 }
 
 }  // namespace insched::mip

@@ -77,32 +77,44 @@ struct ProbingResult {
                                                long* tightened = nullptr);
 
 /// Conflict graph over binary columns: an edge (i, j) means x_i + x_j <= 1.
-/// Built from small GUB-style rows (at-most-one windows, pairwise-exclusive
-/// knapsack pairs) plus probing implications; queried by the clique
-/// separator.
+/// A <= / = row in which every pair of positive binaries conflicts (an
+/// at-most-one window, a set-packing row) is stored once, as a clique in a
+/// per-column table of clique ids; the pairs of any other small row and the
+/// probing implications are stored as explicit edges. Queried by the clique
+/// separator. This is the clique-table design of Atamturk, Nemhauser and
+/// Savelsbergh (EJOR 2000).
 class ConflictGraph {
  public:
   ConflictGraph() = default;
-  explicit ConflictGraph(int columns) { adj_.resize(static_cast<std::size_t>(columns)); }
+  explicit ConflictGraph(int columns)
+      : adj_(static_cast<std::size_t>(columns)), cliques_of_(static_cast<std::size_t>(columns)) {}
 
-  void resize(int columns) { adj_.resize(static_cast<std::size_t>(columns)); }
-  void add_edge(int a, int b);
-  /// Adds edges implied by `model`'s rows (rows with more than
-  /// `max_row_entries` live entries are skipped to bound the quadratic pair
-  /// scan) and by (x=1 -> y=0)-shaped implications.
+  /// Replaces the contents with the conflicts implied by `model`'s rows and
+  /// by (x=1 -> y=0)-shaped implications. A clique row is stored whatever
+  /// its width; a row whose pairs only partly conflict is pair-scanned only
+  /// when it has at most `max_row_entries` entries.
   void build(const lp::Model& model, const std::vector<Implication>& implications,
              int max_row_entries = 96);
 
+  /// True when `a` and `b` share a stored clique or an explicit edge.
   [[nodiscard]] bool adjacent(int a, int b) const;
-  [[nodiscard]] const std::vector<int>& neighbors(int a) const {
-    return adj_[static_cast<std::size_t>(a)];
+  [[nodiscard]] bool has_conflicts(int a) const {
+    const auto j = static_cast<std::size_t>(a);
+    return !adj_[j].empty() || !cliques_of_[j].empty();
   }
+  [[nodiscard]] bool empty() const noexcept { return edges_ == 0 && cliques_ == 0; }
   [[nodiscard]] int columns() const noexcept { return static_cast<int>(adj_.size()); }
+  /// Explicit edges only; pairs covered by a stored clique are not counted.
   [[nodiscard]] long edges() const noexcept { return edges_; }
+  [[nodiscard]] long cliques() const noexcept { return cliques_; }
 
  private:
-  std::vector<std::vector<int>> adj_;  ///< sorted, deduplicated after build()
+  void add_edge(int a, int b);
+
+  std::vector<std::vector<int>> adj_;         ///< explicit edges, sorted, deduplicated
+  std::vector<std::vector<int>> cliques_of_;  ///< ids of the cliques holding a column, ascending
   long edges_ = 0;
+  long cliques_ = 0;
 };
 
 }  // namespace insched::mip

@@ -210,9 +210,7 @@ AggregateModel build_aggregate_milp(const ScheduleProblem& problem,
       }
       m.set_objective(built.vars.active[i], 1.0);
     }
-    const int r =
-        m.add_row("time_budget", lp::RowType::kLe, problem.time_budget(), std::move(entries));
-    m.set_row_kind(r, lp::RowKind::kBudget);
+    m.add_row("time_budget", lp::RowType::kLe, problem.time_budget(), std::move(entries));
   }
 
   // --- Memory budget (Eq 8 upper bound) --------------------------------------
@@ -252,11 +250,8 @@ AggregateModel build_aggregate_milp(const ScheduleProblem& problem,
         if (peak > 0.0) entries.push_back({built.vars.active[i], peak});
       }
     }
-    if (!entries.empty()) {
-      const int r =
-          m.add_row("memory_budget", lp::RowType::kLe, problem.mth, std::move(entries));
-      m.set_row_kind(r, lp::RowKind::kBudget);
-    }
+    if (!entries.empty())
+      m.add_row("memory_budget", lp::RowType::kLe, problem.mth, std::move(entries));
   }
 
   return built;

@@ -138,10 +138,8 @@ TimeExpandedModel build_impl(const ScheduleProblem& problem, const HorizonState*
       std::vector<lp::RowEntry> cap;
       cap.reserve(static_cast<std::size_t>(steps));
       for (long j = 0; j < steps; ++j) cap.push_back({xs[static_cast<std::size_t>(j)], 1.0});
-      const int r = m.add_row(format("card_%s", p.name.c_str()), lp::RowType::kLe,
-                              static_cast<double>(problem.max_analysis_steps(i)),
-                              std::move(cap));
-      m.set_row_kind(r, lp::RowKind::kInterval);
+      m.add_row(format("card_%s", p.name.c_str()), lp::RowType::kLe,
+                static_cast<double>(problem.max_analysis_steps(i)), std::move(cap));
     }
 
     // Interval rule: at most one analysis step inside any itv-wide window.
@@ -150,11 +148,9 @@ TimeExpandedModel build_impl(const ScheduleProblem& problem, const HorizonState*
         std::vector<lp::RowEntry> window;
         for (long k = j; k < std::min(steps, j + p.itv); ++k)
           window.push_back({xs[static_cast<std::size_t>(k)], 1.0});
-        if (window.size() > 1) {
-          const int r = m.add_row(format("itv_%s_%ld", p.name.c_str(), j + 1),
-                                  lp::RowType::kLe, 1.0, std::move(window));
-          m.set_row_kind(r, lp::RowKind::kInterval);
-        }
+        if (window.size() > 1)
+          m.add_row(format("itv_%s_%ld", p.name.c_str(), j + 1), lp::RowType::kLe, 1.0,
+                    std::move(window));
       }
     }
 
@@ -194,8 +190,7 @@ TimeExpandedModel build_impl(const ScheduleProblem& problem, const HorizonState*
     }
     const double budget =
         problem.time_budget() - (state ? state->spent_seconds : 0.0);
-    const int r = m.add_row("time_budget", lp::RowType::kLe, budget, std::move(entries));
-    m.set_row_kind(r, lp::RowKind::kBudget);
+    m.add_row("time_budget", lp::RowType::kLe, budget, std::move(entries));
   }
 
   // --- Memory recurrence (Eqs 5-8) -------------------------------------------
@@ -261,9 +256,7 @@ TimeExpandedModel build_impl(const ScheduleProblem& problem, const HorizonState*
       std::vector<lp::RowEntry> entries;
       for (std::size_t i = 0; i < n; ++i)
         entries.push_back({built.vars.mem_start[i][static_cast<std::size_t>(j)], 1.0});
-      const int r =
-          m.add_row(format("mth_%ld", j + 1), lp::RowType::kLe, problem.mth, std::move(entries));
-      m.set_row_kind(r, lp::RowKind::kBudget);
+      m.add_row(format("mth_%ld", j + 1), lp::RowType::kLe, problem.mth, std::move(entries));
     }
   }
 

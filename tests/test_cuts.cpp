@@ -1,14 +1,18 @@
 // Validity and concurrency tests for the cutting-plane layer: separators
 // (lifted covers, cliques, MIR, Gomory) must never cut an integer feasible
-// point, the cut pool must stay consistent under concurrent offers, probing
+// point, the conflict graph's clique table must agree with the pair scan it
+// replaced, the cut pool must stay consistent under concurrent offers, probing
 // reductions must round-trip through PresolveResult::restore, and the
 // deterministic wave mode must stay bit-identical with the cut engine on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "insched/casestudy/flash_sedov.hpp"
@@ -193,6 +197,278 @@ TEST(Cuts, CaseStudyOptimaSatisfyAllRootCuts) {
           << " cut violated by the integer optimum";
     }
   }
+}
+
+// --- Conflict graph: the clique table against the pair scan it replaced ---
+
+bool binary_column(const lp::Column& c) {
+  return c.type != VarType::kContinuous && c.lower == 0.0 && c.upper == 1.0;
+}
+
+// Reference conflict graph: the O(w^2) pair scan. Two positive binaries of a
+// <= / = row conflict when the row's minimum activity plus both coefficients
+// exceeds the rhs. A row wider than `max_row_entries` counts only when every
+// such pair conflicts (a clique row). The pairs enter as implications over
+// a rowless copy of the columns, so the reference holds explicit edges only.
+ConflictGraph pair_scan_graph(const Model& m, std::vector<Implication> pairs,
+                              int max_row_entries = 96) {
+  for (const lp::Row& row : m.rows()) {
+    if (row.type == RowType::kGe) continue;
+    double amin = 0.0;
+    for (const RowEntry& e : row.entries) {
+      const lp::Column& c = m.column(e.column);
+      amin += e.coeff > 0 ? e.coeff * c.lower : e.coeff * c.upper;
+    }
+    if (!std::isfinite(amin)) continue;
+    const auto member = [&](const RowEntry& e) {
+      return e.coeff > 0 && binary_column(m.column(e.column));
+    };
+    std::vector<Implication> row_pairs;
+    bool every_pair = true;
+    for (std::size_t p = 0; p < row.entries.size(); ++p) {
+      const RowEntry& ep = row.entries[p];
+      if (!member(ep)) continue;
+      for (std::size_t q = p + 1; q < row.entries.size(); ++q) {
+        const RowEntry& eq = row.entries[q];
+        if (!member(eq)) continue;
+        if (amin + ep.coeff + eq.coeff > row.rhs + lp::tol::kFeasTol)
+          row_pairs.push_back(Implication{ep.column, true, eq.column, false});
+        else
+          every_pair = false;
+      }
+    }
+    if (static_cast<int>(row.entries.size()) > max_row_entries && !every_pair) continue;
+    pairs.insert(pairs.end(), row_pairs.begin(), row_pairs.end());
+  }
+  Model columns;
+  for (const lp::Column& c : m.columns())
+    columns.add_column(c.name, c.lower, c.upper, 0.0, c.type);
+  ConflictGraph graph;
+  graph.build(columns, pairs);
+  return graph;
+}
+
+// Compares adjacency on every column pair; returns the reference's number
+// of conflicting pairs so callers can check the comparison was not vacuous.
+long expect_same_conflicts(const ConflictGraph& graph, const ConflictGraph& ref,
+                           const std::string& what) {
+  EXPECT_EQ(graph.columns(), ref.columns()) << what;
+  long conflicts = 0;
+  long mismatches = 0;
+  for (int a = 0; a < ref.columns(); ++a) {
+    EXPECT_FALSE(graph.adjacent(a, a)) << what;
+    if (graph.has_conflicts(a) != ref.has_conflicts(a) && ++mismatches <= 5)
+      ADD_FAILURE() << what << ": has_conflicts(" << a << ") differs";
+    for (int b = a + 1; b < ref.columns(); ++b) {
+      const bool want = ref.adjacent(a, b);
+      conflicts += want ? 1 : 0;
+      if ((graph.adjacent(a, b) != want || graph.adjacent(b, a) != want) && ++mismatches <= 5)
+        ADD_FAILURE() << what << ": columns " << a << ", " << b << " should "
+                      << (want ? "" : "not ") << "conflict";
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+  return conflicts;
+}
+
+void expect_same_cuts(const std::vector<Cut>& got, const std::vector<Cut>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].rhs, want[k].rhs) << what;
+    EXPECT_EQ(got[k].violation, want[k].violation) << what;
+    ASSERT_EQ(got[k].entries.size(), want[k].entries.size()) << what;
+    for (std::size_t e = 0; e < got[k].entries.size(); ++e) {
+      EXPECT_EQ(got[k].entries[e].column, want[k].entries[e].column) << what;
+      EXPECT_EQ(got[k].entries[e].coeff, want[k].entries[e].coeff) << what;
+    }
+  }
+}
+
+// `count` distinct entries of `pool`, in random order.
+std::vector<int> sample(Rng* rng, std::vector<int> pool, int count) {
+  count = std::min<int>(count, static_cast<int>(pool.size()));
+  for (int k = 0; k < count; ++k) {
+    const auto pick = static_cast<std::size_t>(k) +
+                      rng->uniform_index(pool.size() - static_cast<std::size_t>(k));
+    std::swap(pool[static_cast<std::size_t>(k)], pool[pick]);
+  }
+  pool.resize(static_cast<std::size_t>(count));
+  return pool;
+}
+
+// Random model for the conflict graph: binaries (some typed integer in
+// [0, 1]), continuous and general-integer columns, an unbounded column, and
+// rows mixing set-packing windows (some wider than 96 entries), weighted
+// cliques, knapsacks whose pairs only partly conflict, = rows, >= rows,
+// negative coefficients and continuous entries. The all-zero point is
+// feasible and the LP is bounded.
+Model random_conflict_model(Rng* rng, int n) {
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  std::vector<int> binaries;
+  std::vector<int> all;
+  for (int j = 0; j < n; ++j) {
+    const double u = rng->uniform();
+    const double obj = rng->uniform(0.5, 2.0);
+    int col = 0;
+    if (u < 0.7) col = m.add_column("b", 0, 1, obj, VarType::kBinary);
+    else if (u < 0.8) col = m.add_column("i01", 0, 1, obj, VarType::kInteger);
+    else if (u < 0.9) col = m.add_column("c", 0, rng->uniform(0.5, 3.0), obj);
+    else if (u < 0.95) col = m.add_column("i03", 0, 3, obj, VarType::kInteger);
+    else col = m.add_column("c-", -1, 2, obj);
+    if (u < 0.8) binaries.push_back(col);
+    all.push_back(col);
+  }
+  const int unbounded = m.add_column("u", 0, lp::kInf, -1.0);
+  const int rows = 40;
+  for (int r = 0; r < rows; ++r) {
+    std::vector<RowEntry> entries;
+    RowType type = RowType::kLe;
+    double rhs = 1.0;
+    switch (rng->uniform_index(7)) {
+      case 0:  // set packing, some wider than 96 entries
+        for (const int j : sample(rng, binaries, static_cast<int>(rng->uniform_int(2, 130))))
+          entries.push_back({j, 1.0});
+        if (rng->uniform() < 0.3) entries.push_back({unbounded, 0.5});
+        break;
+      case 1:  // weighted clique: any two coefficients exceed the rhs
+        for (const int j : sample(rng, binaries, static_cast<int>(rng->uniform_int(2, 110))))
+          entries.push_back({j, rng->uniform(0.55, 1.0)});
+        break;
+      case 2:  // knapsack whose pairs only partly conflict
+        for (const int j : sample(rng, binaries, static_cast<int>(rng->uniform_int(3, 110))))
+          entries.push_back({j, rng->uniform(1.0, 8.0)});
+        rhs = rng->uniform(6.0, 14.0);
+        break;
+      case 3:  // = row: a few binaries sum to one more column
+        for (const int j : sample(rng, all, static_cast<int>(rng->uniform_int(3, 9))))
+          entries.push_back({j, 1.0});
+        entries.back().coeff = -1.0;
+        type = RowType::kEq;
+        rhs = 0.0;
+        break;
+      case 4:  // mixed signs over every column type
+        for (const int j : sample(rng, all, static_cast<int>(rng->uniform_int(2, 30))))
+          entries.push_back({j, rng->uniform(-3.0, 5.0)});
+        rhs = rng->uniform(0.0, 6.0);
+        break;
+      case 5:  // an unbounded column with a negative coefficient: no finite min activity
+        for (const int j : sample(rng, binaries, 4)) entries.push_back({j, 1.0});
+        entries.push_back({unbounded, -1.0});
+        break;
+      default:  // >= rows give no upper side
+        for (const int j : sample(rng, binaries, 5)) entries.push_back({j, 1.0});
+        type = RowType::kGe;
+        rhs = 0.0;
+        break;
+    }
+    m.add_row("r", type, rhs, std::move(entries));
+  }
+  return m;
+}
+
+std::vector<Implication> random_implications(Rng* rng, int n, int count) {
+  std::vector<Implication> out;
+  for (int k = 0; k < count; ++k) {
+    out.push_back(Implication{static_cast<int>(rng->uniform_int(-1, n - 1)), rng->uniform() < 0.7,
+                              static_cast<int>(rng->uniform_int(0, n)), rng->uniform() < 0.3});
+  }
+  return out;
+}
+
+// Every column pair of random models conflicts in the clique table exactly
+// when it does in the pair scan, and the clique separator returns the same
+// cuts from both. One graph is rebuilt across models of different sizes, so
+// stale lists from an earlier build would show as mismatches.
+TEST(ConflictGraph, MatchesPairScanOnRandomModels) {
+  Rng rng(20261017);
+  ConflictGraph graph;
+  long conflicts = 0;
+  long cliques = 0;
+  std::size_t cuts = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = 180 + 7 * trial;
+    const Model m = random_conflict_model(&rng, n);
+    const std::vector<Implication> imps = random_implications(&rng, m.num_columns(), 40);
+    graph.build(m, imps);
+    const ConflictGraph ref = pair_scan_graph(m, imps);
+    const std::string what = "trial " + std::to_string(trial);
+    conflicts += expect_same_conflicts(graph, ref, what);
+    cliques += graph.cliques();
+
+    const lp::SimplexResult rel = lp::solve_lp(m);
+    ASSERT_TRUE(rel.optimal()) << what;
+    std::vector<double> fractional(static_cast<std::size_t>(m.num_columns()));
+    for (double& v : fractional) v = rng.uniform(0.0, 0.6);
+    for (const std::vector<double>& x : {rel.x, fractional}) {
+      const std::vector<Cut> got = generate_clique_cuts(m, x, graph);
+      expect_same_cuts(got, generate_clique_cuts(m, x, ref), what);
+      cuts += got.size();
+    }
+  }
+  EXPECT_GT(conflicts, 0);
+  EXPECT_GT(cliques, 0);
+  EXPECT_GT(cuts, 0u);
+}
+
+scheduler::ScheduleProblem case_study_staircase(scheduler::ScheduleProblem p, long steps) {
+  p.steps = steps;
+  p.mth = scheduler::kNoLimit;
+  for (auto& a : p.analyses) a.itv = std::max<long>(1, p.steps / 20);
+  return p;
+}
+
+// The same differential on the three case-study time-expanded models at
+// steps=200, with their probing implications, and the same clique cuts at
+// each model's LP optimum.
+TEST(ConflictGraph, MatchesPairScanOnCaseStudies) {
+  struct Case {
+    const char* name;
+    scheduler::ScheduleProblem problem;
+  };
+  const Case cases[] = {
+      {"water", casestudy::water_ions_problem(16384, 0.10)},
+      {"rhodo", casestudy::rhodopsin_problem(100.0)},
+      {"flash", casestudy::flash_problem({2.0, 1.0, 2.0})},
+  };
+  for (const Case& cs : cases) {
+    const Model model =
+        scheduler::build_time_expanded_milp(case_study_staircase(cs.problem, 200)).model;
+    const ProbingResult probing = probe_binaries(model);
+    ConflictGraph graph;
+    graph.build(model, probing.implications);
+    const ConflictGraph ref = pair_scan_graph(model, probing.implications);
+    EXPECT_GT(expect_same_conflicts(graph, ref, cs.name), 0) << cs.name;
+    EXPECT_GT(graph.cliques(), 0) << cs.name;
+
+    const lp::SimplexResult rel = lp::solve_lp(model);
+    ASSERT_TRUE(rel.optimal()) << cs.name;
+    expect_same_cuts(generate_clique_cuts(model, rel.x, graph),
+                     generate_clique_cuts(model, rel.x, ref), cs.name);
+  }
+}
+
+// Structural guard against a return to pair expansion: on the steps=2000
+// water staircase every Eq 9 window is stored as one clique, and the only
+// explicit edges are probing implications.
+TEST(ConflictGraph, WaterStaircaseStoresWindowsAsCliques) {
+  const Model model = scheduler::build_time_expanded_milp(
+                          case_study_staircase(casestudy::water_ions_problem(16384, 0.08), 2000))
+                          .model;
+  const ProbingResult probing = probe_binaries(model);
+  ConflictGraph graph;
+  graph.build(model, probing.implications);
+  long windows = 0;
+  for (const lp::Row& row : model.rows()) {
+    if (row.name.rfind("itv_", 0) != 0) continue;
+    ++windows;
+    EXPECT_TRUE(graph.adjacent(row.entries.front().column, row.entries.back().column))
+        << row.name;
+  }
+  ASSERT_GT(windows, 0);
+  EXPECT_GE(graph.cliques(), windows);
+  EXPECT_LE(graph.edges(), static_cast<long>(probing.implications.size()));
 }
 
 Cut make_cut(int col_a, int col_b, double rhs) {

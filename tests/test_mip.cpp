@@ -13,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "insched/casestudy/flash_sedov.hpp"
 #include "insched/lp/model.hpp"
 #include "insched/mip/branch_and_bound.hpp"
 #include "insched/mip/cuts.hpp"
 #include "insched/mip/heuristics.hpp"
+#include "insched/scheduler/timeexp_milp.hpp"
 #include "insched/support/random.hpp"
 
 namespace insched::mip {
@@ -615,6 +617,42 @@ TEST(MipCounterTable, RootUnboundedReportsTheFailedCrash) {
   EXPECT_EQ(c.crash_failed, 1);
   EXPECT_GT(c.lp_ftran, 0);
   EXPECT_GT(c.lp_refactorizations, 0);
+}
+
+// Every applied cut is tallied under exactly one family, and the staircase's
+// Eq 9 windows reach the conflict graph's clique table. The FLASH staircase
+// at steps=200 applies cuts of all four families.
+TEST(MipCounterTable, CutFamiliesSumToAppliedOnStaircase) {
+  scheduler::ScheduleProblem p = casestudy::flash_problem({2.0, 1.0, 2.0});
+  p.steps = 200;
+  p.mth = scheduler::kNoLimit;
+  for (auto& a : p.analyses) a.itv = std::max<long>(1, p.steps / 20);
+  MipOptions opt;
+  opt.threads = 1;
+  const MipResult res = solve_mip(scheduler::build_time_expanded_milp(p).model, opt);
+  ASSERT_TRUE(res.optimal());
+  const MipCounters& c = res.counters;
+  EXPECT_GT(c.cuts_applied, 0);
+  EXPECT_EQ(c.cuts_applied_cover + c.cuts_applied_clique + c.cuts_applied_gomory +
+                c.cuts_applied_mir,
+            c.cuts_applied);
+  EXPECT_GT(c.conflict_cliques, 0);
+}
+
+// A model without integer columns skips the tree, but still reports the
+// work of its one LP.
+TEST(MipCounterTable, PureLpReportsItsLpWork) {
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const int x = m.add_column("x", 0, 4, 3.0);
+  const int y = m.add_column("y", 0, 4, 2.0);
+  m.add_row("a", RowType::kLe, 5.0, {{x, 1.0}, {y, 1.0}});
+  m.add_row("b", RowType::kLe, 7.0, {{x, 2.0}, {y, 1.0}});
+  const MipResult res = solve_mip(m);
+  ASSERT_TRUE(res.optimal());
+  EXPECT_GT(res.lp_iterations, 0);
+  EXPECT_GT(res.counters.lp_ftran, 0);
+  EXPECT_GT(res.counters.lp_refactorizations, 0);
 }
 
 }  // namespace

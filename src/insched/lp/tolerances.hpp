@@ -6,8 +6,8 @@
 // branch-and-bound search all make float comparisons whose thresholds must
 // agree across components: a point the heuristics accept as integral must
 // also pass the node's feasibility check, a cut the separator keeps must
-// survive the pool's violation filter, and deterministic wave mode relies
-// on every tie-break using the same quantum on every thread. This header is
+// survive the pool's violation filter, and the incumbent and pivot
+// tie-breaks use the same quantum on every thread. This header is
 // the single home of those constants — `insched_srclint`'s
 // `tolerance-literal` check rejects stray epsilon literals anywhere in
 // `lp/`, `mip/`, `scheduler/` or `replay/` outside this file,

@@ -8,7 +8,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -68,6 +67,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 enum class Cause : int { kNone = 0, kNodeLimit = 1, kTimeLimit = 2, kWorkLimit = 3 };
+
+/// Capacity of each tree's LRU of basis factorizations, keyed by node id.
+constexpr std::size_t kFactorCacheSize = 32;
+/// Processed nodes between merges of a worker's pseudo-cost delta into the
+/// shared table.
+constexpr long kPcMergeInterval = 32;
 
 /// Everything observable from one LP solve, as MipCounters fields:
 /// factorization stats plus any recovery-ladder rungs the engine had to
@@ -149,7 +154,6 @@ class Search {
   bool separate_root(lp::SimplexResult* root);
   void separate_in_tree(const SearchNode& node, const std::vector<double>& x);
   [[nodiscard]] NodePtr try_restart();
-  void rebind_workspaces();
 
   [[nodiscard]] int pick_branch_var(const SearchNode& node, const std::vector<double>& x,
                                     double node_bound, const PseudoCostTable& pc_read,
@@ -169,15 +173,12 @@ class Search {
                       const lp::Factorization* hint, long node_id);
   lp::SimplexResult solve_node(lp::WarmSimplex& ws, const SearchNode& node,
                                const lp::Factorization* hint);
-  void process_solved(const NodePtr& node, lp::SimplexResult&& rel,
+  void process_solved(int tid, const NodePtr& node, lp::SimplexResult&& rel,
                       const PseudoCostTable& pc_read, PseudoCostTable& pc_write,
-                      const std::function<long()>& alloc_id,
-                      const std::function<void(NodePtr)>& push, lp::WarmSimplex* heur_ws,
-                      lp::WarmSimplex* sb_ws);
+                      lp::WarmSimplex* heur_ws, lp::WarmSimplex* sb_ws);
 
-  void run_async(int threads, NodePtr root_node);
-  void async_worker(int tid);
-  void run_deterministic(int threads, NodePtr root_node);
+  void run_tree(int threads, NodePtr root_node);
+  void tree_worker(int tid);
   void finalize(bool proved);
 
   lp::Model base_;
@@ -194,11 +195,9 @@ class Search {
   bool root_pending_ = false;
 
   Incumbent incumbent_;
-  std::unique_ptr<lp::WarmSimplex> heur_ws_;      // root + deterministic heuristics
-  std::unique_ptr<lp::WarmSimplex> sb_ws_;        // deterministic strong branching
-  std::unique_ptr<NodePool> pool_;                // async mode only
-  std::unique_ptr<FactorCache> cache_;            // async mode only
-  std::unique_ptr<SharedPseudoCosts> shared_pc_;  // async mode only
+  std::unique_ptr<NodePool> pool_;
+  std::unique_ptr<FactorCache> cache_;
+  std::unique_ptr<SharedPseudoCosts> shared_pc_;
 
   // Cutting-plane engine: concurrent pool fed by the root rounds and the
   // in-tree separators, conflict graph for the clique cuts, last root point
@@ -244,7 +243,6 @@ class Search {
            lp_iterations_.load(std::memory_order_relaxed) >= opt_.max_lp_iterations;
   }
 
-  bool pin_factors_ = false;
   double trunc_open_bound_ = std::numeric_limits<double>::infinity();
 
   MipResult result_;
@@ -297,20 +295,15 @@ int Search::pick_branch_var(const SearchNode& node, const std::vector<double>& x
     std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
       return a.score != b.score ? a.score > b.score : a.j < b.j;
     });
-    // In deterministic mode both tables are the same object; adding the
-    // write-side counts again would double-count observations.
-    const bool same_table = &pc_read == &pc_write;
+    // Observations count from both the shared snapshot and this worker's
+    // unmerged delta.
     const long need = std::max(1, opt_.reliability);
     int probed = 0;
     for (Cand& c : cands) {
       if (probed >= opt_.strong_branch_candidates) break;
       const auto js = static_cast<std::size_t>(c.j);
-      long up_n = pc_read.up_n[js];
-      long down_n = pc_read.down_n[js];
-      if (!same_table) {
-        up_n += pc_write.up_n[js];
-        down_n += pc_write.down_n[js];
-      }
+      const long up_n = pc_read.up_n[js] + pc_write.up_n[js];
+      const long down_n = pc_read.down_n[js] + pc_write.down_n[js];
       if (std::min(up_n, down_n) >= need) continue;
       ++probed;
 
@@ -612,14 +605,12 @@ void Search::separate_in_tree(const SearchNode& node, const std::vector<double>&
   if (fresh > 0 && cut_pool_->size() >= opt_.min_restart_cuts &&
       !restart_requested_.load(std::memory_order_relaxed)) {
     restart_requested_.store(true, std::memory_order_relaxed);
-    if (pool_) pool_->stop();  // async: drain the workers; run_async restarts
+    pool_->stop();  // drain the workers; run_tree restarts
   }
 }
 
-void Search::process_solved(const NodePtr& node, lp::SimplexResult&& rel,
+void Search::process_solved(int tid, const NodePtr& node, lp::SimplexResult&& rel,
                             const PseudoCostTable& pc_read, PseudoCostTable& pc_write,
-                            const std::function<long()>& alloc_id,
-                            const std::function<void(NodePtr)>& push,
                             lp::WarmSimplex* heur_ws, lp::WarmSimplex* sb_ws) {
   if (!rel.optimal()) return;  // infeasible or numerical trouble: drop the node
   const double bound = internal(rel.objective);
@@ -638,11 +629,10 @@ void Search::process_solved(const NodePtr& node, lp::SimplexResult&& rel,
   separate_in_tree(*node, rel.x);
 
   // Copy-on-branch: both children share one immutable snapshot of the
-  // parent's optimal basis (and, in deterministic mode, its factorization).
-  // Built before branching so the strong-branch probes can start from it.
+  // parent's optimal basis. Built before branching so the strong-branch
+  // probes can start from it.
   std::shared_ptr<const lp::Basis> basis;
   if (!rel.basis.empty()) basis = std::make_shared<lp::Basis>(std::move(rel.basis));
-  std::shared_ptr<const lp::Factorization> pinned = pin_factors_ ? rel.factor : nullptr;
 
   const int branch_var = pick_branch_var(*node, rel.x, bound, pc_read, pc_write,
                                          basis.get(), rel.factor.get(), sb_ws);
@@ -677,19 +667,18 @@ void Search::process_solved(const NodePtr& node, lp::SimplexResult&& rel,
     child->bounds.push_back({branch_var, clo, chi});
     child->parent_bound = bound;
     child->depth = node->depth + 1;
-    child->id = alloc_id();
+    child->id = next_id_.fetch_add(1, std::memory_order_relaxed);
     child->parent_id = node->id;
     child->branch_frac = frac;
     child->warm_basis = basis;
-    child->pinned_factor = pinned;
-    push(std::move(child));
+    pool_->push(std::move(child), tid);
   };
   // Down child: x <= floor(v); up child: x >= ceil(v).
   if (floor_v >= lo - lp::tol::kCoeffTol) make_child(lo, floor_v);
   if (floor_v + 1.0 <= hi + lp::tol::kCoeffTol) make_child(floor_v + 1.0, hi);
 }
 
-void Search::async_worker(int tid) {
+void Search::tree_worker(int tid) {
   // Workspaces are built lazily at the first popped node: on small trees
   // (or oversubscribed machines) most workers never get one, and the dense
   // workspace allocations would dominate their cost.
@@ -719,9 +708,6 @@ void Search::async_worker(int tid) {
   PseudoCostTable pc_delta;
   pc_delta.resize(n_);
   long since_merge = 0;
-  const long merge_interval = std::max(1, opt_.pc_merge_interval);
-  auto alloc_id = [this] { return next_id_.fetch_add(1, std::memory_order_relaxed); };
-  auto push = [this, tid](NodePtr child) { pool_->push(std::move(child), tid); };
 
   while (NodePtr node = pool_->pop(tid)) {
     const long processed = nodes_.load(std::memory_order_relaxed);
@@ -755,12 +741,12 @@ void Search::async_worker(int tid) {
       rel = solve_node(*ws, *node, hint.get());
       lp_iterations_.fetch_add(rel.iterations, std::memory_order_relaxed);
     }
-    if (rel.optimal() && rel.factor && !pin_factors_) cache.put(node->id, rel.factor);
+    if (rel.optimal() && rel.factor) cache.put(node->id, rel.factor);
 
-    process_solved(node, std::move(rel), pc_read, pc_delta, alloc_id, push, &*heur_ws,
+    process_solved(tid, node, std::move(rel), pc_read, pc_delta, &*heur_ws,
                    sb_ws ? &*sb_ws : nullptr);
 
-    if (++since_merge >= merge_interval) {
+    if (++since_merge >= kPcMergeInterval) {
       shared_pc_->merge(&pc_delta, &pc_read);
       since_merge = 0;
     }
@@ -769,7 +755,7 @@ void Search::async_worker(int tid) {
   if (since_merge > 0) shared_pc_->merge(&pc_delta, nullptr);
 }
 
-void Search::run_async(int threads, NodePtr root_node) {
+void Search::run_tree(int threads, NodePtr root_node) {
   shared_pc_ = std::make_unique<SharedPseudoCosts>(n_);
   if (opt_.warm_state) {
     // Seed reliability branching from the family's accumulated estimates so
@@ -786,11 +772,10 @@ void Search::run_async(int threads, NodePtr root_node) {
     // pre-restart row set) are rebuilt each round; pseudo-costs and the
     // incumbent carry over.
     pool_ = std::make_unique<NodePool>(threads);
-    cache_ = std::make_unique<FactorCache>(
-        static_cast<std::size_t>(std::max(1, opt_.factor_cache_size)));
+    cache_ = std::make_unique<FactorCache>(kFactorCacheSize);
     pool_->push(std::move(root_node), 0);
 
-    insched::parallel_run(threads, [this](int tid) { async_worker(tid); });
+    insched::parallel_run(threads, [this](int tid) { tree_worker(tid); });
 
     counters_.steals += pool_->steals();
     const bool limit =
@@ -811,110 +796,6 @@ void Search::run_async(int threads, NodePtr root_node) {
   if (opt_.warm_state) opt_.warm_state->publish_pseudo_costs(shared_pc_->snapshot());
   if (opt_.collect_resolve_artifacts) resolve_pc_ = shared_pc_->snapshot();
   trunc_open_bound_ = pool_->best_open_bound();
-  finalize(/*proved=*/cause_.load(std::memory_order_relaxed) ==
-           static_cast<int>(Cause::kNone));
-}
-
-void Search::run_deterministic(int threads, NodePtr root_node) {
-  std::multiset<NodePtr, NodeOrder> open;
-  open.insert(std::move(root_node));
-  long next_id_local = 1;
-  PseudoCostTable pc;
-  pc.resize(n_);
-  if (opt_.warm_state) {
-    if (std::optional<PseudoCostTable> seed = opt_.warm_state->pseudo_costs(n_)) {
-      pc = std::move(*seed);
-      counters_.pc_seeded = 1;
-    }
-  }
-  auto alloc_id = [&next_id_local] { return next_id_local++; };
-  auto push = [&open](NodePtr child) { open.insert(std::move(child)); };
-
-  const long wave_cap = std::max(1, opt_.wave_size);
-  lp::SimplexOptions lpopt = opt_.lp;
-  lpopt.collect_basis = true;
-  lpopt.want_duals = false;
-  std::vector<std::unique_ptr<lp::WarmSimplex>> ws(static_cast<std::size_t>(threads));
-
-  while (!open.empty()) {
-    if (elapsed_s() > opt_.time_limit_s) {
-      set_cause(Cause::kTimeLimit);
-      break;
-    }
-    if (work_limit_hit()) {
-      set_cause(Cause::kWorkLimit);
-      break;
-    }
-    // Fill the wave in best-bound order, pruning at selection time. The wave
-    // size is fixed (independent of `threads`), so the search tree is too.
-    std::vector<NodePtr> wave;
-    while (static_cast<long>(wave.size()) < wave_cap && !open.empty()) {
-      if (nodes_.load(std::memory_order_relaxed) + static_cast<long>(wave.size()) >=
-          opt_.max_nodes)
-        break;
-      NodePtr node = *open.begin();
-      open.erase(open.begin());
-      if (incumbent_.has() &&
-          tighten(node->parent_bound) >= incumbent_.bound() - opt_.gap_abs)
-        continue;
-      wave.push_back(std::move(node));
-    }
-    if (wave.empty()) {
-      if (!open.empty()) set_cause(Cause::kNodeLimit);
-      break;
-    }
-
-    // Parallel phase: pure LP solves only. Each solve is a deterministic
-    // function of (node bounds, basis, pinned factor), so which thread runs
-    // it cannot change the result.
-    std::vector<lp::SimplexResult> results(wave.size());
-    std::atomic<std::size_t> cursor{0};
-    const int wave_threads =
-        std::min<int>(threads, static_cast<int>(wave.size()));
-    insched::parallel_run(wave_threads, [&](int tid) {
-      auto& workspace = ws[static_cast<std::size_t>(tid)];
-      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < wave.size();
-           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        const SearchNode& nd = *wave[i];
-        if (nd.id == 0 && root_pending_) {
-          root_pending_ = false;
-          results[i] = std::move(root_result_);
-          continue;
-        }
-        if (!workspace) workspace = std::make_unique<lp::WarmSimplex>(base_, lpopt);
-        results[i] = solve_node(*workspace, nd, nd.pinned_factor.get());
-        lp_iterations_.fetch_add(results[i].iterations, std::memory_order_relaxed);
-      }
-    });
-
-    // Sequential phase: incumbent updates, pruning, pseudo-costs, cut
-    // separation, and branching applied in selection order — every stateful
-    // decision, cuts included, happens here, so the pool contents and the
-    // restart point are bit-identical for any thread count.
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      nodes_.fetch_add(1, std::memory_order_relaxed);
-      process_solved(wave[i], std::move(results[i]), pc, pc, alloc_id, push, heur_ws_.get(),
-                     sb_ws_.get());
-    }
-
-    if (restart_requested_.load(std::memory_order_relaxed) &&
-        cause_.load(std::memory_order_relaxed) == static_cast<int>(Cause::kNone)) {
-      restart_requested_.store(false, std::memory_order_relaxed);
-      if (NodePtr fresh = try_restart()) {
-        open.clear();
-        // Node workspaces are bound to the pre-restart row set.
-        for (auto& w : ws) w.reset();
-        open.insert(std::move(fresh));
-        continue;
-      }
-      set_cause(Cause::kNodeLimit);
-      break;
-    }
-  }
-
-  if (!open.empty()) trunc_open_bound_ = (*open.begin())->parent_bound;
-  if (opt_.warm_state) opt_.warm_state->publish_pseudo_costs(pc);
-  if (opt_.collect_resolve_artifacts) resolve_pc_ = pc;
   finalize(/*proved=*/cause_.load(std::memory_order_relaxed) ==
            static_cast<int>(Cause::kNone));
 }
@@ -1034,7 +915,7 @@ bool Search::separate_root(lp::SimplexResult* root) {
   // pure functions of the (read-only) base model and root point, so the
   // batches can be produced concurrently on the shared worker pool. The
   // batches then merge into the pool in fixed family order on this thread,
-  // which keeps cut ids (and the deterministic-mode tree, bit for bit)
+  // which keeps cut ids (and a single-thread tree, bit for bit)
   // independent of thread scheduling.
   std::vector<Cut> cover_batch, clique_batch, mir_batch, gomory_batch;
   long btrans = 0;
@@ -1076,22 +957,6 @@ bool Search::separate_root(lp::SimplexResult* root) {
   return apply_cuts(selected, root);
 }
 
-// Workspaces owned by the Search object are bound to the base model's row
-// set; rebuilt at startup and after every cut-and-branch restart.
-void Search::rebind_workspaces() {
-  lp::SimplexOptions heur_lpopt = opt_.lp;
-  heur_lpopt.collect_basis = true;
-  heur_lpopt.want_duals = false;
-  heur_ws_ = std::make_unique<lp::WarmSimplex>(base_, heur_lpopt);
-  if (opt_.deterministic && opt_.branching == Branching::kReliability) {
-    lp::SimplexOptions sb_lpopt = opt_.lp;
-    sb_lpopt.collect_basis = false;
-    sb_lpopt.want_duals = false;
-    sb_lpopt.max_iterations = std::max(1, opt_.strong_branch_iterations);
-    sb_ws_ = std::make_unique<lp::WarmSimplex>(base_, sb_lpopt);
-  }
-}
-
 // Cut-and-branch restart: drain the pool of everything it accumulated while
 // the previous tree ran (in-tree cuts are valid at the root even when the
 // root point no longer violates them — they were separated because they cut
@@ -1112,8 +977,6 @@ NodePtr Search::try_restart() {
     if (!root.optimal()) return nullptr;
   }
   ++restarts_done_;
-  rebind_workspaces();
-  pin_factors_ = opt_.deterministic && base_.num_rows() <= opt_.pin_factor_rows;
 
   auto node = std::make_shared<SearchNode>();
   node->parent_bound = internal(root.objective);
@@ -1265,12 +1128,6 @@ MipResult Search::run() {
     }
   }
 
-  // Deterministic mode keeps one sequential heuristic workspace (and, under
-  // reliability branching, one strong-branching workspace); async workers
-  // build their own. collect_basis stays on so warm_dive can chain each step
-  // from the previous one's exported basis.
-  rebind_workspaces();
-
   // Incumbent hint (warm-delta re-solve): the previous solve's schedule,
   // when still feasible for this model, seeds the incumbent through the same
   // greedy_fill polish as any heuristic point. Pseudo id -2 wins objective
@@ -1302,7 +1159,13 @@ MipResult Search::run() {
   if (opt_.use_rounding_heuristic && !hint_offered) {
     SearchNode root_ctx;  // empty bound set = root subproblem
     if (!root.basis.empty()) {
-      if (auto x = warm_round_and_fix(*heur_ws_, root_ctx, root.x, root.basis,
+      // collect_basis stays on so warm_dive can chain each step from the
+      // previous one's exported basis.
+      lp::SimplexOptions heur_lpopt = opt_.lp;
+      heur_lpopt.collect_basis = true;
+      heur_lpopt.want_duals = false;
+      lp::WarmSimplex heur_ws(base_, heur_lpopt);
+      if (auto x = warm_round_and_fix(heur_ws, root_ctx, root.x, root.basis,
                                       root.factor.get())) {
         offer_point(*x, -1);
       } else {
@@ -1312,7 +1175,7 @@ MipResult Search::run() {
         // would abandon the dive with hundreds of fractionals left and the
         // search would run without any incumbent at all.
         const int dive_depth = std::max(64, base_.num_columns() + 16);
-        if (auto xd = warm_dive(*heur_ws_, root_ctx, root.x, root.basis, root.factor.get(),
+        if (auto xd = warm_dive(heur_ws, root_ctx, root.x, root.basis, root.factor.get(),
                                 dive_depth)) {
           offer_point(*xd, -1);
         }
@@ -1324,8 +1187,6 @@ MipResult Search::run() {
     }
   }
 
-  pin_factors_ = opt_.deterministic && base_.num_rows() <= opt_.pin_factor_rows;
-
   auto root_node = std::make_shared<SearchNode>();
   root_node->parent_bound = internal(root.objective);
   root_node->id = 0;
@@ -1333,8 +1194,7 @@ MipResult Search::run() {
   root_result_ = std::move(root);
   root_pending_ = true;
 
-  if (opt_.deterministic) run_deterministic(threads, std::move(root_node));
-  else run_async(threads, std::move(root_node));
+  run_tree(threads, std::move(root_node));
   return result_;
 }
 

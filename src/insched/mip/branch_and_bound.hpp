@@ -11,10 +11,11 @@
 // heuristic, probing presolve, a root cutting loop (lifted knapsack covers,
 // GUB/clique cuts from the conflict graph, Gomory mixed-integer cuts off the
 // LU tableau) feeding a shared cut pool, in-tree separation with
-// cut-and-branch restarts, optional presolve, and a deterministic mode whose
-// search tree — and hence incumbent — is bit-identical across thread counts,
-// cuts included. Proves optimality (the schedule experiments rely on exact
-// optima, not approximations).
+// cut-and-branch restarts, and optional presolve. A single-thread solve is
+// bit-identical from run to run, cuts included; more threads reach the same
+// proven objective, possibly through a different optimal point. Proves
+// optimality (the schedule experiments rely on exact optima, not
+// approximations).
 
 #include <cstddef>
 #include <iterator>
@@ -85,7 +86,7 @@ struct MipOptions {
   /// Run the root cut separators concurrently (one task per enabled family)
   /// on the shared worker pool. Each family separates into a private batch
   /// and the batches merge into the pool in fixed family order, so cut ids
-  /// — and the deterministic-mode tree, bit for bit — are identical to the
+  /// — and a single-thread tree, bit for bit — are identical to the
   /// sequential run.
   bool parallel_separation = true;
   bool use_rounding_heuristic = true;
@@ -138,35 +139,17 @@ struct MipOptions {
   /// Requests beyond the machine's hardware concurrency are clamped (extra
   /// workers on an oversubscribed core are pure scheduling overhead for the
   /// sub-millisecond node LPs solved here) unless `oversubscribe` is set.
+  /// One worker, the default, repeats its search bit for bit from run to
+  /// run; more workers prove the same objective but may return a different
+  /// optimal point.
   int threads = 1;
   /// Allow more workers than hardware threads. Off by default; the
   /// concurrency tests enable it so the multi-worker code paths are
   /// exercised even on single-core CI machines.
   bool oversubscribe = false;
-  /// Synchronous wave-parallel search: node selection, incumbent updates,
-  /// branching, and pseudo-costs are applied in node-id order on the
-  /// coordinating thread while only the node LP solves run in parallel, so
-  /// the search tree (and the incumbent, bit for bit) is identical for any
-  /// thread count. Costs some parallel efficiency; node/time limits may
-  /// still truncate at a thread-dependent point when they fire.
-  bool deterministic = false;
-  /// Nodes solved per synchronization wave in deterministic mode (fixed, so
-  /// the tree does not depend on `threads`).
-  int wave_size = 16;
   /// Re-solve node LPs with the dual simplex warm-started from the parent
   /// basis; falls back to the cold primal path on numerical failure.
   bool warm_start = true;
-  /// Capacity of the LRU cache of basis factorizations (async search).
-  int factor_cache_size = 32;
-  /// Deterministic mode pins the parent factorization in the node itself
-  /// (no shared cache) when the model has at most this many rows. With the
-  /// sparse LU + eta snapshot a pinned factor costs O(nnz) instead of the
-  /// former dense O(rows^2), so the cutoff is far higher than the dense-era
-  /// 256.
-  int pin_factor_rows = 4096;
-  /// Worker-local pseudo-cost deltas merge into the shared table every this
-  /// many processed nodes.
-  int pc_merge_interval = 32;
 
   /// Fault-injection spec ("hook:N[:count][,...]", see
   /// support/fault_inject.hpp) armed at solve_mip entry. Empty = none; used

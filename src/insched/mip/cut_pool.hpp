@@ -5,9 +5,9 @@
 // search owner periodically *selects* a batch to append to the base model
 // (cut-and-branch restart). Selection is violation-driven with a parallelism
 // filter, survivors age and fall off, and every decision is a deterministic
-// function of pool contents (insertion order breaks ties), so deterministic
-// wave mode stays bit-identical as long as cuts are offered in a
-// deterministic order — which the sequential wave phase guarantees.
+// function of pool contents (insertion order breaks ties), so a
+// single-thread search, which offers cuts in a fixed order, repeats its cut
+// selection bit for bit.
 
 #include <cstdint>
 #include <unordered_set>

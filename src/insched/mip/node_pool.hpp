@@ -12,8 +12,8 @@
 //                      stays bounded.
 //  * Incumbent       — atomic bound for lock-free pruning reads plus a
 //                      mutex-guarded solution swap; ties break to the
-//                      smaller node id so deterministic mode is reproducible
-//                      across thread counts.
+//                      smaller node id, so equal-objective points found in
+//                      either order settle on the same incumbent.
 //  * SharedPseudoCosts — global pseudo-cost table; workers accumulate local
 //                      deltas and merge on a fixed cadence.
 
@@ -41,14 +41,13 @@ struct SearchNode {
   long parent_id = -1;        ///< FactorCache key for the warm-start hint
   int producer = 0;           ///< worker tid that created the node
   double branch_frac = 0.0;   ///< fractionality of the parent's branch variable
-  std::shared_ptr<const lp::Basis> warm_basis;             ///< parent's optimal basis
-  std::shared_ptr<const lp::Factorization> pinned_factor;  ///< deterministic mode only
+  std::shared_ptr<const lp::Basis> warm_basis;  ///< parent's optimal basis
 };
 
 using NodePtr = std::shared_ptr<SearchNode>;
 
-/// Deterministic best-bound order: smaller bound first, then deeper (cheap
-/// dive behaviour), then smaller id.
+/// Best-bound order: smaller bound first, then deeper (cheap dive
+/// behaviour), then smaller id, so a single worker pops a fixed sequence.
 struct NodeOrder {
   bool operator()(const NodePtr& a, const NodePtr& b) const noexcept {
     if (a->parent_bound != b->parent_bound) return a->parent_bound < b->parent_bound;

@@ -1,11 +1,13 @@
 #include "insched/replay/fuzz.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
 
 #include "insched/replay/replay.hpp"
 #include "insched/scheduler/greedy.hpp"
 #include "insched/scheduler/lint.hpp"
+#include "insched/scheduler/recurrence.hpp"
 #include "insched/scheduler/solver.hpp"
 #include "insched/scheduler/validator.hpp"
 #include "insched/support/fault_inject.hpp"
@@ -97,6 +99,25 @@ constexpr fault::Hook kFuzzHooks[] = {
   const ReplayResult jittered = replay_schedule(problem, schedule, noisy);
   ++r->replays;
   if (!jittered.sound()) return "jittered replay violated a budget without divergence";
+  return {};
+}
+
+/// Differential oracle for the tree search: re-solves with three workers
+/// and checks the proven objective and the schedule against the sequential
+/// solve's optimum. Returns an empty string or the violated property.
+[[nodiscard]] std::string check_parallel(const ScheduleProblem& problem,
+                                         scheduler::SolveOptions options,
+                                         double objective) {
+  options.mip.threads = 3;
+  options.mip.oversubscribe = true;
+  const scheduler::ScheduleSolution par = solve_schedule(problem, options);
+  if (!par.proven_optimal) return "three-worker re-solve did not prove optimality";
+  if (std::fabs(par.objective - objective) >
+      scheduler::recurrence::kOracleObjectiveRelTol * std::max(1.0, std::fabs(objective)))
+    return format("three-worker objective %.17g != sequential %.17g", par.objective, objective);
+  const scheduler::ValidationReport report = validate_schedule(problem, par.schedule);
+  if (!report.feasible)
+    return "three-worker schedule failed validation: " + report.violations.front();
   return {};
 }
 
@@ -228,6 +249,14 @@ FuzzCaseResult run_fuzz_case(std::uint64_t seed, const FuzzOptions& options) {
         return r;
       }
     }
+    if (!r.fault_armed && sol.proven_optimal && seed % 4 == 0) {
+      if (std::string err = check_parallel(problem, so, sol.objective); !err.empty()) {
+        r.ok = false;
+        r.failure = "parallel: " + err;
+        return r;
+      }
+      r.parallel_checked = true;
+    }
   } catch (const std::exception& e) {
     fault::disarm_all();
     r.ok = false;
@@ -250,6 +279,7 @@ FuzzSummary run_fuzz(std::uint64_t seed_start, long count, const FuzzOptions& op
     summary.fault_armed += r.fault_armed ? 1 : 0;
     summary.degraded += r.degraded ? 1 : 0;
     summary.replays += r.replays;
+    summary.parallel_checks += r.parallel_checked ? 1 : 0;
     if (!r.ok) {
       ++summary.failures;
       summary.failing.push_back(r);

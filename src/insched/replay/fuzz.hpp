@@ -13,7 +13,11 @@
 //  * a zero-jitter replay reproduces the predicted trajectory exactly
 //    (no divergence) and agrees on feasibility;
 //  * a jittered replay never violates a budget without flagging divergence
-//    (ReplayResult::sound()).
+//    (ReplayResult::sound());
+//  * on every fourth fault-free seed with a proven MILP optimum, a
+//    three-worker re-solve proves the same objective (1e-9 relative) with a
+//    schedule the exact validator accepts — the parallel search checked
+//    against the sequential one.
 //
 // A seeded fraction of cases additionally arms the PR 4 fault-injection
 // hooks (support/fault_inject.hpp) through mip::MipOptions::fault_spec, so
@@ -52,6 +56,7 @@ struct FuzzCaseResult {
   bool fault_armed = false;
   bool degraded = false;  ///< MILP fell back to greedy
   long replays = 0;       ///< replay_schedule calls made for this case
+  bool parallel_checked = false;  ///< parallel-vs-sequential oracle ran
 };
 
 struct FuzzSummary {
@@ -62,6 +67,7 @@ struct FuzzSummary {
   long fault_armed = 0;
   long degraded = 0;
   long replays = 0;
+  long parallel_checks = 0;
   /// Every failing case, in seed order (empty on a clean run).
   std::vector<FuzzCaseResult> failing;
 

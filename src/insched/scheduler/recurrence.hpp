@@ -76,6 +76,10 @@ inline constexpr double kModelActivityTol = 1e-9;
 /// time/memory trajectories tolerated before flagging (ReplayOptions).
 inline constexpr double kReplayRelTol = 1e-9;
 
+/// Differential oracles: relative mismatch tolerated between the objectives
+/// of two solves that each prove the optimum (replay/fuzz.cpp).
+inline constexpr double kOracleObjectiveRelTol = 1e-9;
+
 /// Eq 4: does the cumulative analysis time exceed the whole-run budget?
 [[nodiscard]] inline bool time_exceeds_budget(double total_seconds,
                                               double budget_seconds) noexcept {

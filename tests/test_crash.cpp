@@ -193,15 +193,13 @@ TEST(StaircaseCrashMip, CaseStudyOptimaAgreeWithAndWithoutCrash) {
 
 // ---------------------------------------------------------------------------
 // Parallel root separation must be invisible to the result: fixed-order
-// batch merging keeps cut ids, the appended rows, and the deterministic-mode
-// tree bit-identical to the sequential separators.
+// batch merging keeps cut ids, the appended rows, and the single-thread tree
+// bit-identical to the sequential separators.
 
-TEST(ParallelSeparation, DeterministicWaveModeIsBitIdentical) {
+TEST(ParallelSeparation, SingleThreadTreeIsBitIdentical) {
   const Staircase cs = staircases(500)[2];  // flash: fastest of the three
   mip::MipOptions opt;
-  opt.threads = 2;
-  opt.oversubscribe = true;  // exercise real concurrency even on 1-core CI
-  opt.deterministic = true;
+  opt.threads = 1;
   opt.max_nodes = 512;
   opt.time_limit_s = 120.0;
   opt.lp.refactor_interval = 1024;

@@ -1,10 +1,11 @@
-// Tests for the parallel branch-and-bound search: deterministic mode must
-// produce bit-identical incumbents for any thread count (enforced on the
-// three paper case-study MILPs), async mode must agree on the optimum, and
-// the warm/cold counters must account for every node LP.
+// Tests for the parallel branch-and-bound search: a single-thread solve must
+// repeat itself bit for bit from run to run, more threads must agree on the
+// optimum (enforced on the three paper case-study MILPs), and the warm/cold
+// counters must account for every node LP.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -14,7 +15,7 @@
 #include "insched/lp/model.hpp"
 #include "insched/mip/branch_and_bound.hpp"
 #include "insched/scheduler/aggregate_milp.hpp"
-#include "insched/scheduler/solver.hpp"
+#include "insched/scheduler/timeexp_milp.hpp"
 #include "insched/support/random.hpp"
 
 namespace insched::mip {
@@ -70,52 +71,41 @@ Model knapsack(int n, unsigned seed) {
   return m;
 }
 
-// The acceptance criterion for deterministic mode: incumbents are
-// bit-identical (==, not near) across thread counts on the case studies.
-TEST(MipParallel, DeterministicModeBitIdenticalAcrossThreadCounts) {
-  for (CaseStudy& cs : case_study_models()) {
-    MipResult reference;
-    for (const int threads : {1, 2, 4}) {
-      MipOptions opt;
-      opt.threads = threads;
-      opt.deterministic = true;
-      // Run the workers for real even on single-core CI machines.
-      opt.oversubscribe = true;
-      const MipResult res = solve_mip(cs.model, opt);
-      ASSERT_TRUE(res.optimal()) << cs.name << " threads=" << threads;
-      EXPECT_EQ(res.threads_used, threads);
-      if (threads == 1) {
-        reference = res;
-        continue;
-      }
-      // Bit-identical: the full incumbent vector, objective, bound, node and
-      // iteration counts must match the single-thread search exactly.
-      EXPECT_EQ(res.x, reference.x) << cs.name << " threads=" << threads;
-      EXPECT_EQ(res.objective, reference.objective) << cs.name;
-      EXPECT_EQ(res.best_bound, reference.best_bound) << cs.name;
-      EXPECT_EQ(res.nodes, reference.nodes) << cs.name;
-      EXPECT_EQ(res.lp_iterations, reference.lp_iterations) << cs.name;
+// The reproducibility the default `threads = 1` solve promises: solving the
+// same model twice gives the same point, objective and search, bit for bit
+// (==, not near). Covered on the case studies, random knapsacks and a
+// time-expanded staircase with the cut engine on, each once with default
+// options and once tree-only.
+TEST(MipParallel, SingleThreadRunToRunBitIdentical) {
+  std::vector<CaseStudy> models = case_study_models();
+  for (unsigned seed = 0; seed < 6; ++seed)
+    models.push_back({"knapsack", knapsack(24, 500 + seed)});
+  scheduler::ScheduleProblem p = casestudy::flash_problem({2.0, 1.0, 2.0});
+  p.steps = 60;
+  p.mth = scheduler::kNoLimit;
+  for (auto& a : p.analyses) a.itv = std::max<long>(1, p.steps / 10);
+  models.push_back({"flash-te60", scheduler::build_time_expanded_milp(p).model});
+
+  int trees = 0;
+  for (const CaseStudy& cs : models) {
+    for (const MipOptions& base : {MipOptions{}, tree_only()}) {
+      MipOptions opt = base;
+      opt.threads = 1;
+      const MipResult a = solve_mip(cs.model, opt);
+      const MipResult b = solve_mip(cs.model, opt);
+      ASSERT_TRUE(a.optimal()) << cs.name;
+      ASSERT_TRUE(b.optimal()) << cs.name;
+      EXPECT_EQ(a.x, b.x) << cs.name;
+      EXPECT_EQ(a.objective, b.objective) << cs.name;
+      EXPECT_EQ(a.nodes, b.nodes) << cs.name;
+      EXPECT_EQ(a.lp_iterations, b.lp_iterations) << cs.name;
+      EXPECT_EQ(a.counters.cuts_applied, b.counters.cuts_applied) << cs.name;
+      EXPECT_EQ(a.counters.tree_restarts, b.counters.tree_restarts) << cs.name;
+      if (a.nodes > 1) ++trees;
     }
   }
-}
-
-TEST(MipParallel, DeterministicModeBitIdenticalOnRandomInstances) {
-  for (unsigned seed = 0; seed < 6; ++seed) {
-    const Model m = knapsack(24, 500 + seed);
-    MipOptions one;
-    one.threads = 1;
-    one.deterministic = true;
-    one.oversubscribe = true;
-    const MipResult a = solve_mip(m, one);
-    MipOptions four = one;
-    four.threads = 4;
-    const MipResult b = solve_mip(m, four);
-    ASSERT_TRUE(a.optimal());
-    ASSERT_TRUE(b.optimal());
-    EXPECT_EQ(a.x, b.x) << "seed " << seed;
-    EXPECT_EQ(a.objective, b.objective) << "seed " << seed;
-    EXPECT_EQ(a.nodes, b.nodes) << "seed " << seed;
-  }
+  // A check over root-only solves would never exercise the tree.
+  EXPECT_GT(trees, 0);
 }
 
 TEST(MipParallel, AsyncSearchAgreesOnCaseStudyOptima) {
@@ -197,11 +187,10 @@ TEST(MipParallel, ThreadsZeroUsesAutoDetection) {
   EXPECT_GE(res.threads_used, 1);
 }
 
-TEST(MipParallel, DeterministicTruncationStillNeverOptimal) {
+TEST(MipParallel, ParallelTruncationStillNeverOptimal) {
   const Model m = knapsack(30, 4242);
   MipOptions opt = tree_only();
   opt.threads = 4;
-  opt.deterministic = true;
   opt.oversubscribe = true;
   opt.max_nodes = 8;
   const MipResult res = solve_mip(m, opt);
@@ -209,25 +198,6 @@ TEST(MipParallel, DeterministicTruncationStillNeverOptimal) {
   EXPECT_EQ(res.termination, MipTermination::kNodeLimit);
   ASSERT_TRUE(res.has_solution);
   EXPECT_GE(res.best_bound, res.objective - 1e-9);  // maximize
-}
-
-// The scheduler-level determinism check: full solve_schedule pipelines give
-// identical tables in deterministic mode regardless of thread count.
-TEST(MipParallel, SchedulerDeterministicAcrossThreads) {
-  const auto p = casestudy::rhodopsin_problem(100.0);
-  scheduler::SolveOptions one;
-  one.mip.threads = 1;
-  one.mip.deterministic = true;
-  one.mip.oversubscribe = true;
-  const auto a = scheduler::solve_schedule(p, one);
-  scheduler::SolveOptions four = one;
-  four.mip.threads = 4;
-  const auto b = scheduler::solve_schedule(p, four);
-  ASSERT_TRUE(a.solved);
-  ASSERT_TRUE(b.solved);
-  EXPECT_EQ(a.frequencies, b.frequencies);
-  EXPECT_EQ(a.output_counts, b.output_counts);
-  EXPECT_EQ(a.objective, b.objective);
 }
 
 }  // namespace

@@ -612,6 +612,18 @@ TEST(Fuzz, FullPipelineSampleIsClean) {
   EXPECT_TRUE(sum.clean()) << (sum.failing.empty() ? "" : sum.failing[0].failure);
 }
 
+// Parallel vs sequential search: with no fault armed, every fourth seed with
+// a proven optimum is re-solved by three workers, which must prove the same
+// objective with a valid schedule.
+TEST(Fuzz, ParallelSearchAgreesWithSequential) {
+  replay::FuzzOptions opt;
+  opt.fault_fraction = 0.0;
+  const replay::FuzzSummary sum = replay::run_fuzz(1, 16, opt);
+  EXPECT_EQ(sum.cases, 16);
+  EXPECT_TRUE(sum.clean()) << (sum.failing.empty() ? "" : sum.failing[0].failure);
+  EXPECT_GE(sum.parallel_checks, 1);
+}
+
 TEST(Fuzz, ProblemsAreDeterministicAndValid) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const ScheduleProblem a = replay::fuzz_problem(seed);

@@ -11,7 +11,9 @@
 //   insched_serve --socket PATH [options]
 //   insched_serve --stdin [options]
 //     --workers N        concurrent request handlers (default: all cores)
-//     --solve-threads N  MIP worker threads per solve (default 1)
+//     --solve-threads N  MIP worker threads per solve (default 1); with N > 1
+//                        an answer may be a different optimal schedule of
+//                        equal objective
 //     --cache N          solution-cache capacity; 0 disables (default 256)
 //     --deadline-ms N    default per-request deadline (default 120000)
 //     --max-inflight N   admission bound on concurrent solves; 0 = unbounded

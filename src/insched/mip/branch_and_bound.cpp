@@ -19,8 +19,6 @@
 #include "insched/mip/heuristics.hpp"
 #include "insched/mip/node_pool.hpp"
 #include "insched/mip/probing.hpp"
-#include "insched/mip/resolve.hpp"
-#include "insched/mip/warm_state.hpp"
 #include "insched/support/assert.hpp"
 #include "insched/support/fault_inject.hpp"
 #include "insched/support/log.hpp"
@@ -207,14 +205,11 @@ class Search {
   ConflictGraph conflicts_;
   std::vector<Implication> implications_;
   std::vector<double> root_x_;
-  // Warm-delta snapshot capture (collect_resolve_artifacts): the latest root
-  // basis over the cut-extended model, every cut row committed by apply_cuts
-  // in append order, and the final pseudo-cost table. All written on the
-  // coordinating thread (root phase / post-search), so plain members are
-  // race-free.
-  lp::Basis resolve_basis_;
-  std::vector<Cut> resolve_cuts_;
-  PseudoCostTable resolve_pc_;
+  // The snapshot finalize() hands out: the clean root basis, every cut row
+  // committed by apply_cuts in append order, the latest root basis over
+  // them, and the final pseudo-cost table. All written on the coordinating
+  // thread (root phase / post-search), so a plain member is race-free.
+  MipSnapshot snapshot_;
   std::atomic<bool> restart_requested_{false};
   int restarts_done_ = 0;
 
@@ -757,14 +752,13 @@ void Search::tree_worker(int tid) {
 
 void Search::run_tree(int threads, NodePtr root_node) {
   shared_pc_ = std::make_unique<SharedPseudoCosts>(n_);
-  if (opt_.warm_state) {
-    // Seed reliability branching from the family's accumulated estimates so
-    // the first nodes branch on trusted columns instead of strong-branching
-    // the same candidates the previous request already probed.
-    if (std::optional<PseudoCostTable> seed = opt_.warm_state->pseudo_costs(n_)) {
-      shared_pc_->merge(&*seed, nullptr);
-      counters_.pc_seeded = 1;
-    }
+  if (opt_.snapshot && static_cast<int>(opt_.snapshot->pseudo_costs.up_sum.size()) == n_) {
+    // Seed reliability branching from the earlier solve's estimates so the
+    // first nodes branch on trusted columns instead of strong-branching the
+    // same candidates that solve already probed.
+    PseudoCostTable seed = opt_.snapshot->pseudo_costs;
+    shared_pc_->merge(&seed, nullptr);
+    counters_.pc_seeded = 1;
   }
   for (;;) {
     // A cut-and-branch restart discards the previous tree wholesale, so the
@@ -793,8 +787,7 @@ void Search::run_tree(int threads, NodePtr root_node) {
     break;
   }
   counters_.pc_merges = shared_pc_->merges();
-  if (opt_.warm_state) opt_.warm_state->publish_pseudo_costs(shared_pc_->snapshot());
-  if (opt_.collect_resolve_artifacts) resolve_pc_ = shared_pc_->snapshot();
+  snapshot_.pseudo_costs = shared_pc_->snapshot();
   trunc_open_bound_ = pool_->best_open_bound();
   finalize(/*proved=*/cause_.load(std::memory_order_relaxed) ==
            static_cast<int>(Cause::kNone));
@@ -831,15 +824,7 @@ void Search::finalize(bool proved) {
     result_.objective = maximize_ ? -inc_obj : inc_obj;
   }
 
-  if (opt_.collect_resolve_artifacts) {
-    auto art = std::make_shared<MipResolveArtifacts>();
-    art->base_columns = n_;
-    art->base_rows = base_.num_rows() - static_cast<int>(resolve_cuts_.size());
-    art->root_basis = std::move(resolve_basis_);
-    art->cuts = std::move(resolve_cuts_);
-    art->pseudo_costs = std::move(resolve_pc_);
-    result_.resolve = std::move(art);
-  }
+  result_.snapshot = std::make_shared<MipSnapshot>(std::move(snapshot_));
 
   if (proved) {
     result_.status = have_inc ? lp::SolveStatus::kOptimal : lp::SolveStatus::kInfeasible;
@@ -897,8 +882,7 @@ bool Search::apply_cuts(const std::vector<Cut>& cuts, lp::SimplexResult* root) {
   }
   base_ = std::move(trial);
   result_.cuts_added += static_cast<int>(cuts.size());
-  if (opt_.collect_resolve_artifacts)
-    resolve_cuts_.insert(resolve_cuts_.end(), cuts.begin(), cuts.end());
+  snapshot_.cuts.insert(snapshot_.cuts.end(), cuts.begin(), cuts.end());
   *root = std::move(res);
   root_x_ = root->x;
   return true;
@@ -981,7 +965,7 @@ NodePtr Search::try_restart() {
   auto node = std::make_shared<SearchNode>();
   node->parent_bound = internal(root.objective);
   node->id = 0;
-  if (opt_.collect_resolve_artifacts) resolve_basis_ = root.basis;
+  snapshot_.cut_basis = root.basis;
   root_result_ = std::move(root);
   root_pending_ = true;
   return node;
@@ -1019,20 +1003,17 @@ MipResult Search::run() {
   root_lp.collect_basis = true;
   lp::SimplexResult root;
   bool root_solved = false;
-  if (opt_.warm_state) {
-    // Family warm start: dual-restart from the previous solve of this
-    // instance family. For a perturbed near-duplicate the stored basis is
-    // optimal or one neighbourhood away, so the restart beats even the
-    // greedy crash. Dimension-checked inside root_basis(); any failure
-    // falls through to the crash/cold paths below.
-    if (const std::optional<lp::Basis> shared =
-            opt_.warm_state->root_basis(base_.num_columns(), base_.num_rows())) {
-      root = lp::solve_lp_dual(base_, *shared, root_lp);
-      lp_iterations_.fetch_add(root.iterations, std::memory_order_relaxed);
-      add_lp_stats(root);
-      root_solved = root.optimal();
-      bump(root_solved ? &MipCounters::shared_basis_warm : &MipCounters::shared_basis_failed);
-    }
+  if (opt_.snapshot && opt_.snapshot->columns == base_.num_columns() &&
+      opt_.snapshot->rows == base_.num_rows() && !opt_.snapshot->root_basis.empty()) {
+    // Warm start: dual-restart from the root basis of an earlier solve of a
+    // same-shape model. For a perturbed near-duplicate that basis is optimal
+    // or one neighbourhood away, so the restart beats even the greedy
+    // crash. Any failure falls through to the crash/cold paths below.
+    root = lp::solve_lp_dual(base_, opt_.snapshot->root_basis, root_lp);
+    lp_iterations_.fetch_add(root.iterations, std::memory_order_relaxed);
+    add_lp_stats(root);
+    root_solved = root.optimal();
+    bump(root_solved ? &MipCounters::shared_basis_warm : &MipCounters::shared_basis_failed);
   }
   if (!root_solved && opt_.use_crash_basis) {
     // Crash start: greedy_fill's schedule, when feasible, becomes a
@@ -1101,10 +1082,11 @@ MipResult Search::run() {
     return bail(root.status, MipTermination::kNumericalFailure);
   }
 
-  // Publish the clean-base root basis before any cut rows extend the model:
-  // the next family member's base model has exactly this shape.
-  if (opt_.warm_state && !root.basis.empty())
-    opt_.warm_state->publish_root_basis(base_.num_columns(), base_.num_rows(), root.basis);
+  // Capture the clean root basis before any cut rows extend the model: a
+  // later same-shape model has exactly this shape.
+  snapshot_.columns = n_;
+  snapshot_.rows = base_.num_rows();
+  snapshot_.root_basis = root.basis;
 
   // Cut pool + conflict graph live for the whole search (in-tree separation
   // and restarts use them); the root rounds run all families — the trial
@@ -1190,7 +1172,7 @@ MipResult Search::run() {
   auto root_node = std::make_shared<SearchNode>();
   root_node->parent_bound = internal(root.objective);
   root_node->id = 0;
-  if (opt_.collect_resolve_artifacts) resolve_basis_ = root.basis;
+  snapshot_.cut_basis = root.basis;
   root_result_ = std::move(root);
   root_pending_ = true;
 
@@ -1303,14 +1285,10 @@ MipResult solve_mip(const lp::Model& model, const MipOptions& options) {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) out.x = it->restore(out.x);
   };
 
-  if (!stack.empty()) {
-    // Presolve/probing changed the column space: the incumbent hint no
-    // longer addresses these columns, and a captured snapshot would be
-    // unusable by ReSolveContext (which always re-solves the original
-    // space). Drop both rather than feed the search garbage.
-    inner.incumbent_hint.clear();
-    inner.collect_resolve_artifacts = false;
-  }
+  // Presolve/probing changed the column space: the incumbent hint no
+  // longer addresses these columns, so drop it rather than feed the search
+  // garbage.
+  if (!stack.empty()) inner.incumbent_hint.clear();
 
   if (!work.has_integers()) {
     // Probing fixed every integer: what is left is a pure LP.

@@ -23,14 +23,14 @@
 #include <string>
 #include <vector>
 
+#include "insched/lp/basis.hpp"
 #include "insched/lp/model.hpp"
 #include "insched/lp/simplex.hpp"
 #include "insched/lp/tolerances.hpp"
+#include "insched/mip/cuts.hpp"
+#include "insched/mip/node_pool.hpp"
 
 namespace insched::mip {
-
-class MipWarmState;  // mip/warm_state.hpp — cross-solve shared warm state
-struct MipResolveArtifacts;  // mip/resolve.hpp — warm-delta re-solve snapshot
 
 enum class Branching {
   kMostFractional,
@@ -54,6 +54,24 @@ enum class MipTermination {
 };
 
 [[nodiscard]] const char* to_string(MipTermination termination) noexcept;
+
+/// What one solve learned that a later solve can start from: every solve
+/// that solves its root LP hands one out (`MipResult::snapshot`), and any
+/// solve takes one in (`MipOptions::snapshot`). It lives in the column space
+/// of the model the search ran on, after presolve and probing. A solve reads
+/// only `root_basis`, when `columns` and `rows` match its model, and
+/// `pseudo_costs`, when the table has one entry per column; anything else is
+/// ignored, so a stale snapshot costs pivots, never correctness.
+/// `mip::ReSolveContext` maps `cuts` and `cut_basis` onto a perturbed model
+/// by name before it passes a snapshot in.
+struct MipSnapshot {
+  int columns = 0;               ///< structural columns of that model
+  int rows = 0;                  ///< its rows, without cut rows
+  lp::Basis root_basis;          ///< optimal root LP basis before any cut row
+  std::vector<Cut> cuts;         ///< cut rows committed at the root and at restarts, in order
+  lp::Basis cut_basis;           ///< latest root basis over rows + cuts
+  PseudoCostTable pseudo_costs;  ///< the search's final table
+};
 
 struct MipOptions {
   double int_tol = lp::tol::kIntTol;        ///< integrality tolerance
@@ -157,21 +175,11 @@ struct MipOptions {
   /// deterministically.
   std::string fault_spec;
 
-  /// Cross-solve shared warm-start state (mip/warm_state.hpp): when set,
-  /// the root LP first tries a dual restart from the family's previous
-  /// optimal root basis, reliability branching seeds from the shared
-  /// pseudo-cost table, and the solve publishes both back on exit. Advisory
-  /// and dimension-checked — a mismatching or failing warm start falls
-  /// back to the crash/cold paths below. nullptr = one-shot behaviour.
-  std::shared_ptr<MipWarmState> warm_state;
-
-  /// Capture the warm-delta re-solve snapshot (root basis over the
-  /// cut-extended model, the applied cut list, final pseudo-costs) into
-  /// `MipResult::resolve` on exit. Costs one basis + cut-list copy at the
-  /// root; used by `mip::ReSolveContext` (mip/resolve.hpp). The capture is
-  /// skipped (and the flag is meaningless) when presolve/probing reduced the
-  /// model — the snapshot would live in the reduced column space.
-  bool collect_resolve_artifacts = false;
+  /// Warm start from an earlier solve (see MipSnapshot): the root LP first
+  /// tries a dual restart from its root basis, and reliability branching
+  /// seeds from its pseudo-costs. A mismatching or failing warm start falls
+  /// back to the crash/cold paths. nullptr = cold.
+  std::shared_ptr<const MipSnapshot> snapshot;
 
   /// Known-good point offered as an incumbent before the tree search starts
   /// (after a feasibility check against the current model; silently ignored
@@ -199,9 +207,9 @@ struct MipCounters {
   long heur_warm_failed = 0; ///< warm heuristic re-solves that found nothing
   long crash_warm = 0;       ///< root LPs finished from the greedy crash basis
   long crash_failed = 0;     ///< crash starts that fell back to the cold path
-  long shared_basis_warm = 0;   ///< root LPs dual-restarted from shared family basis
-  long shared_basis_failed = 0; ///< shared-basis restarts that fell back
-  long pc_seeded = 0;           ///< searches seeded from a shared pseudo-cost table
+  long shared_basis_warm = 0;   ///< root LPs dual-restarted from the snapshot's root basis
+  long shared_basis_failed = 0; ///< snapshot-basis restarts that fell back
+  long pc_seeded = 0;           ///< searches seeded from the snapshot's pseudo-costs
   long cut_warm = 0;         ///< cut-round LPs re-solved dual from the extended basis
   long cut_warm_failed = 0;  ///< extended-basis re-solves that fell back to cold
 
@@ -382,10 +390,9 @@ struct MipResult {
   int threads_used = 1;
   MipCounters counters;
   double solve_seconds = 0.0;
-  /// Warm-delta re-solve snapshot (mip/resolve.hpp); only populated when
-  /// `MipOptions::collect_resolve_artifacts` was set and no presolve /
-  /// probing reduction displaced the column space.
-  std::shared_ptr<MipResolveArtifacts> resolve;
+  /// What the solve learned, for the next solve's `MipOptions::snapshot`;
+  /// null when the root LP was not solved (or the model had no integers).
+  std::shared_ptr<MipSnapshot> snapshot;
 
   [[nodiscard]] bool optimal() const noexcept {
     return status == lp::SolveStatus::kOptimal && has_solution;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "insched/mip/warm_state.hpp"
 #include "insched/support/log.hpp"
 
 namespace insched::mip {
@@ -159,7 +158,6 @@ lp::BasisStatus nonbasic_status(const lp::Model& extended, int var) {
 MipResult ReSolveContext::run_cold(const lp::Model& model, MipOptions options) {
   options.use_presolve = false;
   options.use_probing = false;
-  options.collect_resolve_artifacts = true;
   options.incumbent_hint.clear();
   MipResult res = solve_mip(model, options);
   capture(model, res);
@@ -167,8 +165,8 @@ MipResult ReSolveContext::run_cold(const lp::Model& model, MipOptions options) {
 }
 
 void ReSolveContext::capture(const lp::Model& model, const MipResult& result) {
-  if (!result.resolve) return;
-  snapshot_ = result.resolve;
+  if (!result.snapshot) return;
+  snapshot_ = result.snapshot;
   base_model_ = model;
   if (result.has_solution) {
     incumbent_ = result.x;
@@ -182,11 +180,11 @@ MipResult ReSolveContext::solve(const lp::Model& model, MipOptions options) {
 }
 
 MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
-  if (!snapshot_ || snapshot_->root_basis.empty()) {
+  if (!snapshot_ || snapshot_->cut_basis.empty()) {
     ++counters_.cold_solves;
     return run_cold(model, std::move(options));
   }
-  const MipResolveArtifacts& art = *snapshot_;
+  const MipSnapshot& art = *snapshot_;
   const lp::Model& old_model = base_model_;
   const int n_old = old_model.num_columns();
   const int n_new = model.num_columns();
@@ -269,7 +267,7 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
   const int m_new = extended.num_rows();
 
   // --- Basis repair --------------------------------------------------------
-  // Old basis space: n_old structural + (art.base_rows + art.cuts.size())
+  // Old basis space: n_old structural + (art.rows + art.cuts.size())
   // slacks. New space: n_new structural + m_new slacks, where the first
   // model.num_rows() rows map by identity diff and the appended cut rows map
   // through surviving_old_slot. Mapped variables keep their status, new
@@ -278,10 +276,10 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
   // variable is demoted/replaced by the row's slack. The result is
   // structurally consistent or discarded — the engine's crash/cold paths
   // remain as fallback either way.
-  const int old_rows_total = art.base_rows + static_cast<int>(art.cuts.size());
+  const int old_rows_total = art.rows + static_cast<int>(art.cuts.size());
   lp::Basis repaired;
-  bool basis_ok = art.root_basis.rows() == old_rows_total &&
-                  art.root_basis.variables() == n_old + old_rows_total;
+  bool basis_ok = art.cut_basis.rows() == old_rows_total &&
+                  art.cut_basis.variables() == n_old + old_rows_total;
   if (basis_ok) {
     // new extended row -> old extended row
     std::vector<int> xrow_map(static_cast<std::size_t>(m_new), -1);
@@ -289,7 +287,7 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
       xrow_map[static_cast<std::size_t>(i)] = row_map[static_cast<std::size_t>(i)];
     for (std::size_t s = 0; s < surviving.size(); ++s)
       xrow_map[static_cast<std::size_t>(model.num_rows()) + s] =
-          art.base_rows + surviving_old_slot[s];
+          art.rows + surviving_old_slot[s];
     // old extended variable -> new extended variable
     std::vector<int> old_to_new_xrow(static_cast<std::size_t>(old_rows_total), -1);
     for (int i = 0; i < m_new; ++i)
@@ -311,7 +309,7 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
     for (int v = 0; v < n_old + old_rows_total; ++v) {
       const int nv = map_var(v);
       if (nv < 0) continue;
-      const lp::BasisStatus st = art.root_basis.status[static_cast<std::size_t>(v)];
+      const lp::BasisStatus st = art.cut_basis.status[static_cast<std::size_t>(v)];
       repaired.status[static_cast<std::size_t>(nv)] =
           st == lp::BasisStatus::kBasic ? nonbasic_status(extended, nv) : st;
     }
@@ -333,7 +331,7 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
     for (int i = 0; i < m_new && basis_ok; ++i) {
       int bv = -1;
       const int oi = xrow_map[static_cast<std::size_t>(i)];
-      if (oi >= 0) bv = map_var(art.root_basis.basic[static_cast<std::size_t>(oi)]);
+      if (oi >= 0) bv = map_var(art.cut_basis.basic[static_cast<std::size_t>(oi)]);
       if (bv < 0 || used[static_cast<std::size_t>(bv)]) {
         bv = n_new + i;  // promote this row's slack
         ++counters_.rows_slack_promoted;
@@ -357,16 +355,18 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
     }
   }
 
-  // --- Warm state preload --------------------------------------------------
-  auto warm = std::make_shared<MipWarmState>();
+  // --- Warm start: the repaired basis and the mapped pseudo-costs -------
+  auto warm = std::make_shared<MipSnapshot>();
+  warm->columns = n_new;
+  warm->rows = m_new;
   if (basis_ok) {
-    warm->publish_root_basis(n_new, m_new, repaired);
+    warm->root_basis = std::move(repaired);
     ++counters_.basis_mapped;
   } else {
     ++counters_.basis_skipped;
   }
   if (static_cast<int>(art.pseudo_costs.up_n.size()) == n_old && n_old > 0) {
-    PseudoCostTable pc;
+    PseudoCostTable& pc = warm->pseudo_costs;
     pc.resize(n_new);
     for (int j = 0; j < n_old; ++j) {
       const int nj = old_to_new_col[static_cast<std::size_t>(j)];
@@ -378,15 +378,13 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
       pc.down_n[static_cast<std::size_t>(nj)] =
           art.pseudo_costs.down_n[static_cast<std::size_t>(j)];
     }
-    warm->publish_pseudo_costs(pc);
   }
 
   // --- Warm solve ----------------------------------------------------------
   MipOptions inner = std::move(options);
   inner.use_presolve = false;
   inner.use_probing = false;
-  inner.collect_resolve_artifacts = true;
-  inner.warm_state = warm;
+  inner.snapshot = std::move(warm);
   // Root re-separation is always skipped on the warm path — the reused pool
   // plus the incumbent hint close the root gap on a near-duplicate, and cuts
   // only accelerate the proof (exactness comes from the tree either way).
@@ -418,14 +416,17 @@ MipResult ReSolveContext::resolve(const lp::Model& model, MipOptions options) {
   ++counters_.warm_resolves;
 
   // --- Advance the snapshot ------------------------------------------------
-  // The fresh artifacts index the extended model (new rows + surviving cut
-  // rows + cuts applied during this search); rebase them onto `model` so the
+  // The fresh snapshot indexes the extended model (new rows + surviving cut
+  // rows + cuts applied during this search); rebase it onto `model` so the
   // next resolve sees one flat cut list against the un-extended base.
-  if (res.resolve) {
+  if (res.snapshot) {
     std::vector<Cut> all_cuts = surviving;
-    all_cuts.insert(all_cuts.end(), res.resolve->cuts.begin(), res.resolve->cuts.end());
-    res.resolve->cuts = std::move(all_cuts);
-    res.resolve->base_rows = model.num_rows();
+    all_cuts.insert(all_cuts.end(), res.snapshot->cuts.begin(), res.snapshot->cuts.end());
+    res.snapshot->cuts = std::move(all_cuts);
+    res.snapshot->rows = model.num_rows();
+    // Its clean root basis spans the surviving cut rows too, so it no
+    // longer fits a model of `rows` rows.
+    if (!surviving.empty()) res.snapshot->root_basis = {};
     capture(model, res);
   }
   return res;

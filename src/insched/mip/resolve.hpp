@@ -1,19 +1,20 @@
 #pragma once
 
-// Warm-delta re-solve engine: solve a MILP once, snapshot everything the
-// search learned (root basis over the cut-extended model + its LU, the
-// applied cut rows, the pseudo-cost table, the incumbent), then re-solve a
-// *perturbed* sibling of the model 10-50x cheaper than a cold start by
-// reusing all of it. The online rolling-horizon loop (docs/ONLINE.md) is
-// the customer: measured kernel costs drift, the remaining-horizon MILP is
-// rebuilt with the measured coefficients, and the re-solve should be nearly
-// free because the basis, cuts and incumbent barely change.
+// Warm-delta re-solve engine: solve a MILP once, keep its MipSnapshot (root
+// basis over the cut-extended model, the applied cut rows, the pseudo-cost
+// table) and its incumbent, then re-solve a *perturbed* sibling of the
+// model 10-50x cheaper than a cold start by reusing all of it. The online
+// rolling-horizon loop (docs/ONLINE.md) is the customer: measured kernel
+// costs drift, the remaining-horizon MILP is rebuilt with the measured
+// coefficients, and the re-solve should be nearly free because the basis,
+// cuts and incumbent barely change.
 //
 // What carries over, and why it stays exact:
 //  * Root basis — mapped onto the new model by column/row identity (name +
 //    occurrence), bound-flipped nonbasics clamped into the new bounds, new
 //    rows covered by slack promotion (crash.hpp's extend-with-slacks idea),
-//    then handed to the engine through a preloaded MipWarmState. The dual
+//    then handed to the engine as the root basis of the MipSnapshot the
+//    re-solve passes in through `MipOptions::snapshot`. The dual
 //    simplex restores primal feasibility and a primal cleanup pass clears
 //    any dual infeasibility the coefficient changes introduced, so a stale
 //    basis can cost pivots but never correctness.
@@ -29,8 +30,8 @@
 //  * Incumbent — mapped to the new column space and offered through
 //    `MipOptions::incumbent_hint` (feasibility-checked, greedy_fill
 //    polished), so pruning starts from the old schedule's objective.
-//  * Pseudo-costs — mapped per column and published into the same
-//    MipWarmState, so reliability branching starts trusted.
+//  * Pseudo-costs — mapped per column into that same snapshot, so
+//    reliability branching starts trusted.
 //
 // Everything is advisory: any mapping failure degrades to the ordinary
 // crash/cold paths inside solve_mip, so a re-solve is always exact — the
@@ -50,19 +51,6 @@
 
 namespace insched::mip {
 
-/// Snapshot captured by a solve run with
-/// `MipOptions::collect_resolve_artifacts` (branch_and_bound.cpp fills it at
-/// finalize time). The basis spans `base_columns` structural columns plus
-/// `base_rows + cuts.size()` rows: the original rows first, then the cut
-/// rows in `cuts` order — exactly the shape of the cut-extended root model.
-struct MipResolveArtifacts {
-  lp::Basis root_basis;
-  std::vector<Cut> cuts;
-  PseudoCostTable pseudo_costs;
-  int base_columns = 0;
-  int base_rows = 0;  ///< rows of the model *before* cut rows were appended
-};
-
 /// Observability counters accumulated across the lifetime of one context.
 struct ReSolveCounters {
   long cold_solves = 0;        ///< solve() calls (and resolves with no snapshot)
@@ -70,7 +58,7 @@ struct ReSolveCounters {
   long cuts_reused = 0;        ///< cut rows re-injected without re-separation
   long cuts_dropped = 0;       ///< cuts that failed re-validation
   long cuts_repaired = 0;      ///< reused cuts whose rhs was recomputed (weakened)
-  long basis_mapped = 0;       ///< resolves that repaired + preloaded a basis
+  long basis_mapped = 0;       ///< resolves that repaired a basis and passed it in
   long basis_skipped = 0;      ///< resolves where mapping failed (crash/cold root)
   long rows_slack_promoted = 0;///< structurally new rows covered by their slack
   long columns_new = 0;        ///< new-model columns with no old counterpart
@@ -81,8 +69,8 @@ class ReSolveContext {
  public:
   /// Cold solve + snapshot: solves `model` with presolve/probing disabled
   /// (the snapshot must live in the original column space) and stores the
-  /// re-solve artifacts, incumbent and a copy of the model. Any options are
-  /// honoured except the reduction and artifact flags this class owns.
+  /// solve's MipSnapshot, incumbent and a copy of the model. Any options are
+  /// honoured except the reduction flags this class owns.
   [[nodiscard]] MipResult solve(const lp::Model& model, MipOptions options = {});
 
   /// Warm-delta re-solve of a perturbed sibling of the last solved model.
@@ -101,7 +89,9 @@ class ReSolveContext {
   void capture(const lp::Model& model, const MipResult& result);
 
   lp::Model base_model_;  ///< last solved model, without cut rows
-  std::shared_ptr<MipResolveArtifacts> snapshot_;
+  /// Snapshot of the last solve, rebased onto `base_model_`: `rows` counts
+  /// its rows, and `cut_basis` spans them plus every row of `cuts`.
+  std::shared_ptr<const MipSnapshot> snapshot_;
   std::vector<double> incumbent_;
   bool has_incumbent_ = false;
   ReSolveCounters counters_;

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <memory>
+#include <utility>
 
+#include "insched/mip/resolve.hpp"
 #include "insched/replay/replay.hpp"
 #include "insched/scheduler/greedy.hpp"
 #include "insched/scheduler/lint.hpp"
 #include "insched/scheduler/recurrence.hpp"
 #include "insched/scheduler/solver.hpp"
+#include "insched/scheduler/timeexp_milp.hpp"
 #include "insched/scheduler/validator.hpp"
 #include "insched/support/fault_inject.hpp"
 #include "insched/support/random.hpp"
@@ -118,6 +122,52 @@ constexpr fault::Hook kFuzzHooks[] = {
   const scheduler::ValidationReport report = validate_schedule(problem, par.schedule);
   if (!report.feasible)
     return "three-worker schedule failed validation: " + report.violations.front();
+  return {};
+}
+
+/// Differential oracle for the warm-start paths: scales every analysis's ct
+/// by its own seeded factor in [0.9, 1.1] and solves the perturbed
+/// time-expanded model three ways — cold, through ReSolveContext (solve on
+/// the original model, then resolve), and warm from `original`, the
+/// original solve's snapshot. All three must agree on feasibility and on the objective, and
+/// both warm schedules must pass the exact validator. Returns an empty
+/// string or the violated property.
+[[nodiscard]] std::string check_warm(const ScheduleProblem& problem,
+                                     const scheduler::SolveOptions& options,
+                                     std::shared_ptr<const mip::MipSnapshot> original,
+                                     Rng* rng) {
+  ScheduleProblem perturbed = problem;
+  for (AnalysisParams& a : perturbed.analyses) a.ct *= rng->uniform(0.9, 1.1);
+  const scheduler::TimeExpandedModel built = scheduler::build_time_expanded_milp(perturbed);
+  const auto decode = [&](const mip::MipResult& res) {
+    return scheduler::time_expanded_solution(perturbed, built, res);
+  };
+
+  const scheduler::ScheduleSolution cold = decode(mip::solve_mip(built.model, options.mip));
+
+  mip::ReSolveContext ctx;
+  (void)ctx.solve(scheduler::build_time_expanded_milp(problem).model, options.mip);
+  const scheduler::ScheduleSolution resolved = decode(ctx.resolve(built.model, options.mip));
+
+  mip::MipOptions seeded = options.mip;
+  seeded.snapshot = std::move(original);
+  const scheduler::ScheduleSolution snapshot = decode(mip::solve_mip(built.model, seeded));
+
+  const std::pair<const char*, const scheduler::ScheduleSolution*> warm[] = {
+      {"resolve", &resolved}, {"snapshot", &snapshot}};
+  for (const auto& [path, sol] : warm) {
+    if (sol->solved != cold.solved || sol->proven_optimal != cold.proven_optimal)
+      return format("%s: solved %d proven %d, cold solved %d proven %d", path,
+                    sol->solved ? 1 : 0, sol->proven_optimal ? 1 : 0, cold.solved ? 1 : 0,
+                    cold.proven_optimal ? 1 : 0);
+    if (!sol->solved) continue;
+    if (std::fabs(sol->objective - cold.objective) >
+        scheduler::recurrence::kOracleObjectiveRelTol * std::max(1.0, std::fabs(cold.objective)))
+      return format("%s objective %.17g != cold %.17g", path, sol->objective, cold.objective);
+    const scheduler::ValidationReport report = validate_schedule(perturbed, sol->schedule);
+    if (!report.feasible)
+      return format("%s schedule failed validation: %s", path, report.violations.front().c_str());
+  }
   return {};
 }
 
@@ -257,6 +307,15 @@ FuzzCaseResult run_fuzz_case(std::uint64_t seed, const FuzzOptions& options) {
       }
       r.parallel_checked = true;
     }
+    if (!r.fault_armed && sol.proven_optimal && seed % 4 == 2 &&
+        so.formulation == scheduler::Formulation::kTimeExpanded) {
+      if (std::string err = check_warm(problem, so, sol.snapshot, &rng); !err.empty()) {
+        r.ok = false;
+        r.failure = "warm: " + err;
+        return r;
+      }
+      r.warm_checked = true;
+    }
   } catch (const std::exception& e) {
     fault::disarm_all();
     r.ok = false;
@@ -280,6 +339,7 @@ FuzzSummary run_fuzz(std::uint64_t seed_start, long count, const FuzzOptions& op
     summary.degraded += r.degraded ? 1 : 0;
     summary.replays += r.replays;
     summary.parallel_checks += r.parallel_checked ? 1 : 0;
+    summary.warm_checks += r.warm_checked ? 1 : 0;
     if (!r.ok) {
       ++summary.failures;
       summary.failing.push_back(r);

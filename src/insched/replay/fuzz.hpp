@@ -17,7 +17,13 @@
 //  * on every fourth fault-free seed with a proven MILP optimum, a
 //    three-worker re-solve proves the same objective (1e-9 relative) with a
 //    schedule the exact validator accepts — the parallel search checked
-//    against the sequential one.
+//    against the sequential one;
+//  * on every fourth fault-free seed (offset from the parallel check) with a
+//    proven time-expanded optimum, a cost-perturbed sibling solved cold, by
+//    warm-delta re-solve and from the original solve's snapshot gets the
+//    same feasibility, the same objective (1e-9 relative) and, warm, a
+//    schedule the exact validator accepts — the warm paths checked against
+//    the cold one.
 //
 // A seeded fraction of cases additionally arms the PR 4 fault-injection
 // hooks (support/fault_inject.hpp) through mip::MipOptions::fault_spec, so
@@ -57,6 +63,7 @@ struct FuzzCaseResult {
   bool degraded = false;  ///< MILP fell back to greedy
   long replays = 0;       ///< replay_schedule calls made for this case
   bool parallel_checked = false;  ///< parallel-vs-sequential oracle ran
+  bool warm_checked = false;      ///< warm-vs-cold oracle ran
 };
 
 struct FuzzSummary {
@@ -68,6 +75,7 @@ struct FuzzSummary {
   long degraded = 0;
   long replays = 0;
   long parallel_checks = 0;
+  long warm_checks = 0;
   /// Every failing case, in seed order (empty on a clean run).
   std::vector<FuzzCaseResult> failing;
 

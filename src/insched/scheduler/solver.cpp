@@ -40,6 +40,7 @@ ScheduleSolution solver_report(const mip::MipResult& res) {
   out.nodes = res.nodes;
   out.lp_iterations = res.lp_iterations;
   out.mip_counters = res.counters;
+  out.snapshot = res.snapshot;
   out.diagnostics.gap_abs = res.gap();
   out.diagnostics.gap_rel = res.gap_rel();
   return out;
@@ -79,8 +80,7 @@ ScheduleSolution solve_time_expanded(const ScheduleProblem& problem,
 // weight; each tier is maximized (|A_tier| + sum |C_i| over the tier) with
 // all higher tiers' counts frozen and all lower tiers disabled, so a
 // higher-priority analysis never gives up budget for a lower-priority one.
-ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
-                                     const SolveOptions& options) {
+ScheduleSolution solve_lexicographic(const ScheduleProblem& problem, SolveOptions options) {
   if (problem.analyses.empty()) return solve_aggregate(problem, options);
   // Distinct weights, descending.
   std::vector<double> tiers;
@@ -110,6 +110,7 @@ ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
       }
     }
     last = solve_aggregate(sub, options, sub_fixed);
+    if (last.snapshot) options.mip.snapshot = last.snapshot;  // the next tier starts warm
     total_seconds += last.solver_seconds;
     total_nodes += last.nodes;
     total_iterations += last.lp_iterations;
@@ -124,6 +125,7 @@ ScheduleSolution solve_lexicographic(const ScheduleProblem& problem,
   last.nodes = total_nodes;
   last.lp_iterations = total_iterations;
   last.mip_counters = total_counters;
+  last.snapshot = options.mip.snapshot;
   // Report the objective in the paper's Eq-1 form for comparability.
   if (last.solved) last.objective = last.schedule.objective(weights_of(problem));
   return last;
@@ -213,13 +215,19 @@ ScheduleSolution solve_schedule(const ScheduleProblem& problem, const SolveOptio
     return out;
   }
 
-  const auto run = [&](const ScheduleProblem& p) {
-    if (options.formulation == Formulation::kAggregate) {
-      return options.weight_mode == WeightMode::kLexicographic
-                 ? solve_lexicographic(p, options)
-                 : solve_aggregate(p, options);
-    }
-    return solve_time_expanded(p, options);
+  // Each solve starts from the previous one's snapshot.
+  SolveOptions chained = options;
+  const auto run = [&chained](const ScheduleProblem& p) {
+    ScheduleSolution s;
+    if (chained.formulation == Formulation::kTimeExpanded)
+      s = solve_time_expanded(p, chained);
+    else if (chained.weight_mode == WeightMode::kLexicographic)
+      s = solve_lexicographic(p, chained);
+    else
+      s = solve_aggregate(p, chained);
+    if (s.snapshot) chained.mip.snapshot = s.snapshot;
+    s.snapshot = chained.mip.snapshot;
+    return s;
   };
 
   out = run(problem);

@@ -14,6 +14,7 @@
 // caller always gets a feasible schedule, flagged `degraded`, unless
 // `fallback_to_greedy` is disabled.
 
+#include <memory>
 #include <string>
 
 #include "insched/mip/branch_and_bound.hpp"
@@ -93,6 +94,11 @@ struct ScheduleSolution {
   mip::MipTermination termination = mip::MipTermination::kNumericalFailure;
   mip::MipCounters mip_counters;    ///< warm/cold solves, steals, ... summed over tiers
   SolveDiagnostics diagnostics;     ///< failure taxonomy + degradation report
+  /// Warm start for a later same-shape solve (SolveOptions::mip.snapshot):
+  /// the snapshot of the last MIP solve that produced one. Lexicographic
+  /// tiers and tightened re-solves each start from the previous one's; when
+  /// no solve produced one, this is the snapshot the solve was given.
+  std::shared_ptr<const mip::MipSnapshot> snapshot;
 };
 
 [[nodiscard]] ScheduleSolution solve_schedule(const ScheduleProblem& problem,

@@ -1,6 +1,7 @@
 #include "insched/serve/cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace insched::serve {
 
@@ -72,35 +73,36 @@ void SolutionCache::clear() {
 FamilyWarmPool::FamilyWarmPool(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-std::shared_ptr<mip::MipWarmState> FamilyWarmPool::acquire(std::uint64_t family) {
+std::shared_ptr<const mip::MipSnapshot> FamilyWarmPool::get(std::uint64_t family) {
   MutexLock lock(mu_);
   for (Entry& e : entries_) {
     if (e.family != family) continue;
     e.stamp = ++clock_;
-    return e.state;
+    return e.snapshot;
+  }
+  return nullptr;
+}
+
+void FamilyWarmPool::put(std::uint64_t family,
+                         std::shared_ptr<const mip::MipSnapshot> snapshot) {
+  MutexLock lock(mu_);
+  for (Entry& e : entries_) {
+    if (e.family != family) continue;
+    e.snapshot = std::move(snapshot);
+    e.stamp = ++clock_;
+    return;
   }
   if (entries_.size() >= capacity_) {
     auto victim = std::min_element(entries_.begin(), entries_.end(),
                                    [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
     entries_.erase(victim);
   }
-  Entry e;
-  e.family = family;
-  e.state = std::make_shared<mip::MipWarmState>();
-  e.stamp = ++clock_;
-  ++creations_;
-  entries_.push_back(e);
-  return e.state;
+  entries_.push_back(Entry{family, std::move(snapshot), ++clock_});
 }
 
 std::size_t FamilyWarmPool::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-long FamilyWarmPool::creations() const {
-  MutexLock lock(mu_);
-  return creations_;
 }
 
 }  // namespace insched::serve

@@ -11,12 +11,12 @@
 // are a few kilobytes (one schedule), so a few hundred instances fit
 // comfortably.
 //
-// FamilyWarmPool keys shared mip::MipWarmState by the *family* fingerprint
+// FamilyWarmPool keeps the latest mip::MipSnapshot per *family* fingerprint
 // (MILP shape only): requests whose cost numbers differ but whose model
-// shape matches share a root basis and pseudo-cost table, so the first
-// solve of a perturbed instance starts from the previous optimum instead of
-// cold. States are handed out as shared_ptr — a solve in flight keeps its
-// state alive even if the pool evicts the family meanwhile.
+// shape matches start from the previous solve's root basis and pseudo-cost
+// table instead of cold. Snapshots are immutable and handed out as
+// shared_ptr — a solve in flight keeps its snapshot alive even if the pool
+// replaces or evicts it meanwhile.
 //
 // Both caches take one mutex per operation; the protected work is a scan of
 // at most `capacity` small entries, negligible next to even a cached
@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "insched/mip/warm_state.hpp"
+#include "insched/mip/branch_and_bound.hpp"
 #include "insched/scheduler/solver.hpp"
 #include "insched/support/thread_annotations.hpp"
 
@@ -82,28 +82,31 @@ class SolutionCache {
   const std::size_t capacity_;
 };
 
-/// LRU pool of per-family shared warm-start state.
+/// LRU pool of the latest warm-start snapshot per family.
 class FamilyWarmPool {
  public:
   explicit FamilyWarmPool(std::size_t capacity = 64);
 
-  /// The family's warm state, created on first touch. Never null.
-  [[nodiscard]] std::shared_ptr<mip::MipWarmState> acquire(std::uint64_t family);
+  /// The family's latest snapshot, or null when none is stored.
+  [[nodiscard]] std::shared_ptr<const mip::MipSnapshot> get(std::uint64_t family);
+
+  /// Stores `snapshot` as the family's (last writer wins: the freshest
+  /// optimum is the best predictor for the next perturbation), evicting the
+  /// least-recently-used family at capacity.
+  void put(std::uint64_t family, std::shared_ptr<const mip::MipSnapshot> snapshot);
 
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] long creations() const;
 
  private:
   struct Entry {
     std::uint64_t family = 0;
-    std::shared_ptr<mip::MipWarmState> state;
+    std::shared_ptr<const mip::MipSnapshot> snapshot;
     std::uint64_t stamp = 0;
   };
 
   mutable Mutex mu_{"serve.FamilyWarmPool.mu"};
   std::vector<Entry> entries_ INSCHED_GUARDED_BY(mu_);
   std::uint64_t clock_ INSCHED_GUARDED_BY(mu_) = 0;
-  long creations_ INSCHED_GUARDED_BY(mu_) = 0;
   const std::size_t capacity_;
 };
 

@@ -81,14 +81,13 @@ CanonicalInstance canonicalize(const scheduler::ScheduleProblem& problem) {
 
   // Family: only what fixes the MILP shape — dimension, horizon, interval
   // structure, output variables, memory rows. Cost numbers are exactly what
-  // warm-start state is meant to bridge, so they stay out.
-  std::vector<long> intervals(n);
-  for (std::size_t i = 0; i < n; ++i) intervals[i] = problem.analyses[i].itv;
-  std::sort(intervals.begin(), intervals.end());
+  // the warm-start snapshot is meant to bridge, so they stay out. The
+  // intervals stay in request order: the model is built in that order, and
+  // a snapshot's basis is only worth reusing over the same columns.
   std::string family = format("insched-family-v1 n=%zu steps=%ld policy=%d mcap=%d", n,
                               problem.steps, static_cast<int>(problem.output_policy),
                               mem_capped ? 1 : 0);
-  for (const long itv : intervals) family += format(" %ld", itv);
+  for (const scheduler::AnalysisParams& a : problem.analyses) family += format(" %ld", a.itv);
   out.family = fnv1a64(family);
   return out;
 }
@@ -127,6 +126,7 @@ scheduler::ScheduleSolution to_canonical_order(const scheduler::ScheduleSolution
   out.schedule = scheduler::Schedule(solution.schedule.steps(), std::move(rows));
   out.frequencies = apply_order(solution.frequencies, order);
   out.output_counts = apply_order(solution.output_counts, order);
+  out.snapshot = nullptr;
   return out;
 }
 

@@ -46,10 +46,12 @@ struct CanonicalInstance {
   std::string key;
   /// FNV-1a of `key`; the cache index.
   std::uint64_t fingerprint = 0;
-  /// FNV-1a of the structure-only text (analysis count, steps, intervals,
-  /// output policy, memory-cap finiteness) — everything that fixes the MILP
-  /// *shape*. Requests sharing a family share warm-start state
-  /// (mip::MipWarmState) even when their cost numbers differ.
+  /// FNV-1a of the structure-only text (analysis count, steps, the
+  /// intervals in request order, output policy, memory-cap finiteness) —
+  /// everything that fixes the MILP *shape* and its column order. Requests
+  /// of one family start from the family's latest warm-start snapshot
+  /// (mip::MipSnapshot) even when their cost numbers differ; the same
+  /// analyses in another order are another family, since their columns are.
   std::uint64_t family = 0;
   /// order[k] = index in the request's analysis list of the analysis that
   /// landed in canonical slot k. Applying `order` maps request-order data to
@@ -66,7 +68,8 @@ struct CanonicalInstance {
 [[nodiscard]] CanonicalInstance canonicalize(const scheduler::ScheduleProblem& problem);
 
 /// Reorders a solution's per-analysis rows from the request's order into
-/// canonical order and strips names — the shape stored in the cache.
+/// canonical order and strips names and the warm-start snapshot — the shape
+/// stored in the cache.
 [[nodiscard]] scheduler::ScheduleSolution to_canonical_order(
     const scheduler::ScheduleSolution& solution, const std::vector<std::size_t>& order);
 

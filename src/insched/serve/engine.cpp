@@ -13,7 +13,7 @@
 namespace insched::serve {
 
 ServeEngine::ServeEngine(EngineOptions options)
-    : opt_(options), cache_(options.cache_capacity), families_(options.family_capacity) {}
+    : opt_(options), cache_(options.cache_capacity) {}
 
 namespace {
 
@@ -318,9 +318,10 @@ scheduler::ScheduleSolution ServeEngine::run_solve(const ServeRequest& request,
   const double deadline_ms =
       request.deadline_ms > 0.0 ? request.deadline_ms : opt_.default_deadline_ms;
   so.mip.time_limit_s = deadline_ms / 1000.0 - ms_since(start) / 1000.0;
-  so.mip.warm_state = families_.acquire(canon.family);
+  so.mip.snapshot = families_.get(canon.family);
 
   scheduler::ScheduleSolution solution = scheduler::solve_schedule(request.problem, so);
+  if (solution.snapshot) families_.put(canon.family, solution.snapshot);
 
   // Memoize proven-optimal validated solutions only: a degraded or
   // truncated result must never be replayed to a later request that might

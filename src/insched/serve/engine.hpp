@@ -22,9 +22,10 @@
 //                    solved piggy-backs on that solve instead of starting
 //                    its own; followers wait and share the leader's result.
 //   5. solve       — the leader maps its remaining deadline onto the MILP
-//                    time limit and attaches the family's shared warm-start
-//                    state (mip::MipWarmState), so repeated families start
-//                    from the previous optimum. A deadline that expires
+//                    time limit and starts from the family's latest
+//                    mip::MipSnapshot, so repeated families start from the
+//                    previous optimum; the solve's own snapshot then
+//                    replaces it in the pool. A deadline that expires
 //                    before or during the solve rides the graceful-
 //                    degradation ladder: the response carries the validated
 //                    greedy schedule with degraded=true. Proven
@@ -55,7 +56,6 @@ struct EngineOptions {
   /// and a request's "formulation" field overrides formulation.
   scheduler::SolveOptions solve;
   std::size_t cache_capacity = 256;
-  std::size_t family_capacity = 64;
   /// Deadline applied when a request does not carry one.
   double default_deadline_ms = 120000.0;
   /// Leader solves allowed in flight at once; 0 = unbounded.

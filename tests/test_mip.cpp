@@ -496,6 +496,49 @@ TEST(MipTermination, WarmAndColdSearchesAgreeOnOptimum) {
 }
 
 // ---------------------------------------------------------------------------
+// Warm start from a MipSnapshot: a same-shape sibling restarts its root LP
+// from the first solve's root basis; any other shape ignores it.
+
+Model weight_scaled(Model m, double scale) {
+  for (int j = 0; j < m.num_columns(); j += 2)
+    m.set_objective(j, m.column(j).objective * scale);
+  return m;
+}
+
+TEST(MipSnapshot, SameShapeSiblingStartsFromTheRootBasis) {
+  const Model first = hard_knapsack(16, 7);
+  const MipResult a = solve_mip(first);
+  ASSERT_TRUE(a.optimal());
+  ASSERT_NE(a.snapshot, nullptr);
+  EXPECT_FALSE(a.snapshot->root_basis.empty());
+  EXPECT_EQ(a.counters.shared_basis_warm + a.counters.shared_basis_failed, 0);
+
+  const Model sibling = weight_scaled(first, 1.3);
+  MipOptions warm;
+  warm.snapshot = a.snapshot;
+  const MipResult b = solve_mip(sibling, warm);
+  const MipResult cold = solve_mip(sibling);
+  ASSERT_TRUE(b.optimal());
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_EQ(b.counters.shared_basis_warm, 1);
+  EXPECT_NEAR(b.objective, cold.objective, 1e-8);
+}
+
+TEST(MipSnapshot, OtherShapeIsIgnored) {
+  const MipResult small = solve_mip(hard_knapsack(12, 7));
+  ASSERT_NE(small.snapshot, nullptr);
+  const Model big = hard_knapsack(16, 7);
+  MipOptions warm;
+  warm.snapshot = small.snapshot;
+  const MipResult b = solve_mip(big, warm);
+  const MipResult cold = solve_mip(big);
+  ASSERT_TRUE(b.optimal());
+  EXPECT_EQ(b.counters.shared_basis_warm + b.counters.shared_basis_failed, 0);
+  EXPECT_EQ(b.counters.pc_seeded, 0);
+  EXPECT_NEAR(b.objective, cold.objective, 1e-8);
+}
+
+// ---------------------------------------------------------------------------
 // Reduction pipeline: probing fixes and aggregations are substituted out of
 // the model handed to the search, and PresolveResult::restore must expand
 // the reduced solution back to the full original space.

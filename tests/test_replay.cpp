@@ -624,6 +624,18 @@ TEST(Fuzz, ParallelSearchAgreesWithSequential) {
   EXPECT_GE(sum.parallel_checks, 1);
 }
 
+// Warm vs cold: seeds 14 and 22 prove a time-expanded optimum, so each
+// re-solves a cost-perturbed sibling cold, by warm-delta re-solve and from
+// the first solve's snapshot, and all three must agree.
+TEST(Fuzz, WarmStartsAgreeWithCold) {
+  replay::FuzzOptions opt;
+  opt.fault_fraction = 0.0;
+  const replay::FuzzSummary sum = replay::run_fuzz(14, 9, opt);
+  EXPECT_EQ(sum.cases, 9);
+  EXPECT_TRUE(sum.clean()) << (sum.failing.empty() ? "" : sum.failing[0].failure);
+  EXPECT_GE(sum.warm_checks, 1);
+}
+
 TEST(Fuzz, ProblemsAreDeterministicAndValid) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const ScheduleProblem a = replay::fuzz_problem(seed);

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -124,7 +125,9 @@ TEST(Canonical, PermutationAndRenameInvariant) {
   const serve::CanonicalInstance b = serve::canonicalize(reversed_and_renamed(p));
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.family, b.family);
+  // The family follows column order: reversed analyses (itv 5, 2 instead of
+  // 2, 5) build another column order, so another family.
+  EXPECT_NE(a.family, b.family);
   // Both orders are permutations of {0, 1} and map the same analysis to the
   // same canonical slot: slot k of `a` and of `b` name equal cost tuples.
   ASSERT_EQ(a.order.size(), 2u);
@@ -134,6 +137,17 @@ TEST(Canonical, PermutationAndRenameInvariant) {
   // reversed_and_renamed flips indices, so the permutations are flips of
   // each other.
   EXPECT_EQ(a.order[0], 1u - b.order[0]);
+}
+
+TEST(Canonical, SameOrderOtherCostsKeepsTheFamily) {
+  const ScheduleProblem p = two_analysis_problem();
+  ScheduleProblem costed = p;
+  costed.analyses[0].ct *= 1.7;
+  costed.analyses[1].weight *= 0.5;
+  const serve::CanonicalInstance a = serve::canonicalize(p);
+  const serve::CanonicalInstance b = serve::canonicalize(costed);
+  EXPECT_NE(a.key, b.key);
+  EXPECT_EQ(a.family, b.family);
 }
 
 TEST(Canonical, TimeRescaleInvariant) {
@@ -311,19 +325,25 @@ TEST(SolutionCache, FingerprintCollisionNeverServesWrongSchedule) {
   EXPECT_GE(cache.counters().collision_rejects, 1);
 }
 
-TEST(FamilyWarmPool, SharedPerFamilyLru) {
+TEST(FamilyWarmPool, LastWriterWinsPerFamilyLru) {
   serve::FamilyWarmPool pool(2);
-  const auto a = pool.acquire(10);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(pool.acquire(10), a);  // same family -> same state
-  EXPECT_EQ(pool.creations(), 1);
-  const auto b = pool.acquire(20);
-  EXPECT_NE(b, a);
-  (void)pool.acquire(10);  // touch 10 so 20 is LRU
-  (void)pool.acquire(30);  // evicts 20
+  EXPECT_EQ(pool.get(10), nullptr);
+  EXPECT_EQ(pool.size(), 0u);  // a miss stores nothing
+  const auto a = std::make_shared<mip::MipSnapshot>();
+  const auto a2 = std::make_shared<mip::MipSnapshot>();
+  const auto b = std::make_shared<mip::MipSnapshot>();
+  pool.put(10, a);
+  EXPECT_EQ(pool.get(10), a);
+  pool.put(10, a2);  // same family: replaced
+  EXPECT_EQ(pool.get(10), a2);
+  pool.put(20, b);
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_NE(pool.acquire(20), b);  // recreated
-  EXPECT_EQ(pool.creations(), 4);
+  (void)pool.get(10);  // touch 10 so 20 is LRU
+  pool.put(30, a);     // evicts 20
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.get(20), nullptr);
+  EXPECT_EQ(pool.get(10), a2);
+  EXPECT_EQ(pool.get(30), a);
 }
 
 // ---------------------------------------------------------------------------
@@ -554,6 +574,18 @@ TEST(MalformedInput, CaseStudyRequestAndResponsePrefixes) {
     for (const serve::ServeResponse& r : {answer, rejected})
       expect_prefixes_parse_or_throw(serve::response_to_json(r), serve::response_from_json);
   }
+}
+
+TEST(Engine, FreshSolveStoresTheFamilySnapshot) {
+  serve::ServeEngine engine(engine_options());
+  const ScheduleProblem p = two_analysis_problem();
+  const std::uint64_t family = serve::canonicalize(p).family;
+  EXPECT_EQ(engine.families().get(family), nullptr);
+  const serve::ServeResponse fresh = engine.handle(solve_request(p, "fresh"));
+  ASSERT_EQ(fresh.status, serve::ResponseStatus::kOk) << fresh.message;
+  const auto snapshot = engine.families().get(family);
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_FALSE(snapshot->root_basis.empty());
 }
 
 TEST(Engine, CacheHitMatchesFreshObjectiveAndIsFarFaster) {

@@ -98,10 +98,11 @@ int main(int argc, char** argv) {
     for (const replay::FuzzCaseResult& f : summary.failing)
       std::printf("FAIL seed %" PRIu64 ": %s\n", f.seed, f.failure.c_str());
     std::printf("fuzz: %ld cases, %ld failures | lint-rejected %ld, infeasible %ld, "
-                "fault-armed %ld, degraded %ld, replays %ld, parallel-checks %ld\n",
+                "fault-armed %ld, degraded %ld, replays %ld, parallel-checks %ld, "
+                "warm-checks %ld\n",
                 summary.cases, summary.failures, summary.lint_rejected,
                 summary.solver_infeasible, summary.fault_armed, summary.degraded,
-                summary.replays, summary.parallel_checks);
+                summary.replays, summary.parallel_checks, summary.warm_checks);
     return summary.clean() ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -35,6 +35,10 @@ std::size_t Factorization::bytes() const noexcept {
 
 namespace {
 
+/// Input density (nonzeros / m) at or above which FTRAN/BTRAN switch from
+/// the hyper-sparse kernels to the dense-mode ones (docs/FORMULATION.md).
+constexpr double kDenseSolveThreshold = 0.2;
+
 // Working state of one elimination. The active submatrix lives row-wise in
 // `rows`; `colrows` is an append-only (possibly stale) column-to-rows index
 // validated against the exact `col_count` during scans.
@@ -482,7 +486,7 @@ void LuFactors::ftran(SparseVec* x) {
   ++stats_.ftran_calls;
   stats_.rhs_nonzeros += x->nonzeros();
   stats_.rhs_dimension += m;
-  if (static_cast<double>(x->nz.size()) >= dense_threshold_ * static_cast<double>(m)) {
+  if (static_cast<double>(x->nz.size()) >= kDenseSolveThreshold * static_cast<double>(m)) {
     ++stats_.ftran_dense;
     ftran_dense(x);
     return;
@@ -541,7 +545,7 @@ void LuFactors::btran(SparseVec* y) {
   ++stats_.btran_calls;
   stats_.rhs_nonzeros += y->nonzeros();
   stats_.rhs_dimension += m;
-  if (static_cast<double>(y->nz.size()) >= dense_threshold_ * static_cast<double>(m)) {
+  if (static_cast<double>(y->nz.size()) >= kDenseSolveThreshold * static_cast<double>(m)) {
     ++stats_.btran_dense;
     btran_dense(y);
     return;

@@ -221,9 +221,12 @@ class LuFactors {
   void append_eta(int pivot_pos, const SparseVec& w);
 
   /// x := B^-1 x. Input indexed by original row, output by basis position.
+  /// An input with at least 0.2 * m nonzeros takes the dense-mode kernel
+  /// (counted in FactorStats::ftran_dense), any other the hyper-sparse one.
   void ftran(SparseVec* x);
 
   /// y := B^-T y. Input indexed by basis position, output by original row.
+  /// Dispatched by input density like ftran (FactorStats::btran_dense).
   void btran(SparseVec* y);
 
   [[nodiscard]] bool ready() const noexcept { return core_ != nullptr; }
@@ -232,12 +235,6 @@ class LuFactors {
 
   [[nodiscard]] const FactorStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
-
-  /// Input-density threshold (nonzeros / m) above which FTRAN/BTRAN switch
-  /// from the hyper-sparse value-skip kernels to the branch-free dense-mode
-  /// kernels. Tuned on the staircase benches; see docs/FORMULATION.md.
-  void set_dense_threshold(double t) noexcept { dense_threshold_ = t; }
-  [[nodiscard]] double dense_threshold() const noexcept { return dense_threshold_; }
 
  private:
   void ensure_workspace(int m);
@@ -248,7 +245,6 @@ class LuFactors {
   std::vector<EtaVector> etas_;
   std::vector<double> work_;  ///< step-indexed scratch for the triangular solves
   FactorStats stats_;
-  double dense_threshold_ = 0.2;
 };
 
 }  // namespace insched::lp

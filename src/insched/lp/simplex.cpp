@@ -25,6 +25,12 @@ const char* to_string(SolveStatus status) noexcept {
 
 namespace {
 
+constexpr int kStallLimit = 64;  ///< degenerate pivots before Bland's rule
+constexpr int kMaxRecoveries = 8;  ///< recovery-ladder invocations per solve
+/// Pivots between deadline checks: one slice cannot blow a budget, and the
+/// clock read is amortized to noise.
+constexpr int kDeadlineCheckInterval = 256;
+
 enum class VarState { kBasic, kAtLower, kAtUpper, kFreeZero };
 
 // Internal working problem: minimize c.z subject to A.z = b, l <= z <= u,
@@ -121,17 +127,17 @@ class Engine {
   int first_artificial_ = 0;
 
   /// True when the wall-clock deadline has passed. Sampled every
-  /// `deadline_check_interval` pivots from the iteration loops so a single
+  /// kDeadlineCheckInterval pivots from the iteration loops so a single
   /// long simplex call honors MipOptions::time_limit_s (ROADMAP 2b); the
   /// no-deadline default short-circuits before any clock read.
   [[nodiscard]] bool deadline_expired() const {
     if (opt_.deadline == std::chrono::steady_clock::time_point::max()) return false;
-    if (total_iterations_ % std::max(1, opt_.deadline_check_interval) != 0) return false;
+    if (total_iterations_ % kDeadlineCheckInterval != 0) return false;
     return std::chrono::steady_clock::now() >= opt_.deadline;
   }
 
   // Recovery-ladder state (docs/ROBUSTNESS.md), reset per solve. The ladder
-  // shares one budget (`recoveries_` vs opt_.max_recoveries) across all its
+  // shares one budget (`recoveries_` vs kMaxRecoveries) across all its
   // rungs so a genuinely broken basis cannot loop forever.
   RecoveryStats recovery_;
   int recoveries_ = 0;
@@ -190,8 +196,6 @@ void Engine::build_arrays() {
     }
     aptr_[static_cast<std::size_t>(j) + 1] = static_cast<int>(arow_.size());
   }
-
-  lu_.set_dense_threshold(opt_.dense_solve_threshold);
 }
 
 void Engine::prepare(const std::vector<BoundOverride>& overrides) {
@@ -270,7 +274,7 @@ bool Engine::add_artificials() {
     // The slack column is a unit vector, so making it basic with value
     // (current value + r) is possible; do so when that value is in bounds.
     const double candidate = value_[static_cast<std::size_t>(slack)] + r;
-    if (candidate >= slo - opt_.feasibility_tol && candidate <= shi + opt_.feasibility_tol) {
+    if (candidate >= slo - tol::kFeasTol && candidate <= shi + tol::kFeasTol) {
       basis_[static_cast<std::size_t>(i)] = slack;
       state_[static_cast<std::size_t>(slack)] = VarState::kBasic;
       value_[static_cast<std::size_t>(slack)] = candidate;
@@ -373,7 +377,7 @@ bool Engine::factorize_basis(double tau, SingularInfo* singular) {
     out.reserve(col.size());
     for (const Entry& e : col) out.push_back({e.row, e.coeff});
   }
-  if (!lu_.factorize(bcols, opt_.pivot_tol, tau, singular)) return false;  // singular
+  if (!lu_.factorize(bcols, tol::kPivotTol, tau, singular)) return false;  // singular
   pivots_since_refactor_ = 0;
   return true;
 }
@@ -386,7 +390,7 @@ bool Engine::factorize_basis(double tau, SingularInfo* singular) {
 // structurally nonsingular; the evicted variables park on their nearest
 // bound and the caller's pivots restore feasibility and optimality.
 bool Engine::recover_factorization() {
-  if (!opt_.enable_recovery || recoveries_ >= opt_.max_recoveries) return false;
+  if (!opt_.enable_recovery || recoveries_ >= kMaxRecoveries) return false;
   ++recoveries_;
   SingularInfo info;
   for (const double tau : {0.5, 0.9}) {
@@ -430,7 +434,7 @@ bool Engine::refactorize() {
     // corrupted (drifted eta chain, injected FTRAN fault): rebuild once
     // with the tightest threshold; a second drift is terminal.
     ++recovery_.residual_failures;
-    if (!opt_.enable_recovery || recoveries_ >= opt_.max_recoveries) return false;
+    if (!opt_.enable_recovery || recoveries_ >= kMaxRecoveries) return false;
     ++recoveries_;
     if (!factorize_basis(0.9) && !recover_factorization()) return false;
     compute_basic_values();
@@ -443,7 +447,7 @@ bool Engine::primal_feasible() const {
   for (int i = 0; i < m_; ++i) {
     const auto bj = static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)]);
     const double v = value_[bj];
-    if (v < lower_[bj] - opt_.feasibility_tol || v > upper_[bj] + opt_.feasibility_tol)
+    if (v < lower_[bj] - tol::kFeasTol || v > upper_[bj] + tol::kFeasTol)
       return false;
   }
   return true;
@@ -464,7 +468,7 @@ void Engine::snap_nonbasic_and_recompute() {
 // sequence that Bland's rule could not unstick resumes making (tiny) real
 // progress; unperturb_bounds() restores the exact problem and the clean-up
 // pivots finish at its true optimum. The magnitudes stay well below
-// feasibility_tol so the restored point is at worst tolerably infeasible,
+// tol::kFeasTol so the restored point is at worst tolerably infeasible,
 // which the exit-path feasibility check and dual clean-up absorb.
 void Engine::perturb_bounds() {
   saved_lower_ = lower_;
@@ -575,11 +579,11 @@ SolveStatus Engine::iterate(const std::vector<double>& cost, double* objective_o
     if (lower_[static_cast<std::size_t>(j)] == upper_[static_cast<std::size_t>(j)])
       return 0;  // fixed variable can never improve
     const double d = reduced_cost(j, cost, y);
-    if ((st == VarState::kAtLower || st == VarState::kFreeZero) && d < -opt_.optimality_tol) {
+    if ((st == VarState::kAtLower || st == VarState::kFreeZero) && d < -tol::kOptTol) {
       *d_out = d;
       return +1;
     }
-    if ((st == VarState::kAtUpper || st == VarState::kFreeZero) && d > opt_.optimality_tol) {
+    if ((st == VarState::kAtUpper || st == VarState::kFreeZero) && d > tol::kOptTol) {
       *d_out = d;
       return -1;
     }
@@ -716,7 +720,7 @@ SolveStatus Engine::iterate(const std::vector<double>& cost, double* objective_o
 
     for (const int i : w_.nz) {
       const double wi = w_.values[static_cast<std::size_t>(i)];
-      if (std::fabs(wi) <= opt_.pivot_tol) continue;
+      if (std::fabs(wi) <= tol::kPivotTol) continue;
       const int bj = basis_[static_cast<std::size_t>(i)];
       const double bv = value_[static_cast<std::size_t>(bj)];
       const double delta = sigma * wi;  // basic var changes by -delta * t
@@ -732,7 +736,7 @@ SolveStatus Engine::iterate(const std::vector<double>& cost, double* objective_o
           hits_upper = true;
         }
       }
-      if (limit < -opt_.feasibility_tol) limit = 0.0;  // slight infeasibility: block
+      if (limit < -tol::kFeasTol) limit = 0.0;  // slight infeasibility: block
       if (limit < t_best - tol::kTieTol ||
           (leaving_row >= 0 && limit < t_best + tol::kTieTol &&
            std::fabs(wi) > std::fabs(w_.values[static_cast<std::size_t>(leaving_row)]))) {
@@ -815,10 +819,10 @@ SolveStatus Engine::iterate(const std::vector<double>& cost, double* objective_o
     if (t_best > tol::kTieTol) {
       stall = 0;
       bland = false;
-    } else if (++stall > opt_.stall_limit) {
+    } else if (++stall > kStallLimit) {
       bland = true;
-      if (opt_.enable_recovery && !perturb_used_ && stall > 4 * opt_.stall_limit &&
-          recoveries_ < opt_.max_recoveries) {
+      if (opt_.enable_recovery && !perturb_used_ && stall > 4 * kStallLimit &&
+          recoveries_ < kMaxRecoveries) {
         ++recoveries_;
         perturb_bounds();
         compute_duals(cost, &y);
@@ -877,14 +881,14 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
     // fallback: smallest basic variable index with any violation).
     int leaving_row = -1;
     bool below = false;
-    double worst = opt_.feasibility_tol;
+    double worst = tol::kFeasTol;
     for (int i = 0; i < m_; ++i) {
       const int bj = basis_[static_cast<std::size_t>(i)];
       const double v = value_[static_cast<std::size_t>(bj)];
       const double viol_lo = lower_[static_cast<std::size_t>(bj)] - v;
       const double viol_hi = v - upper_[static_cast<std::size_t>(bj)];
       if (bland) {
-        if (viol_lo > opt_.feasibility_tol || viol_hi > opt_.feasibility_tol) {
+        if (viol_lo > tol::kFeasTol || viol_hi > tol::kFeasTol) {
           if (leaving_row < 0 ||
               bj < basis_[static_cast<std::size_t>(leaving_row)]) {
             leaving_row = i;
@@ -954,7 +958,7 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
     // bit-identical to the former single-pass loop.
     //
     // tiny_gain: maximum repair of the violated row achievable by columns
-    // whose alpha is below pivot_tol. They are unusable as pivots, but a
+    // whose alpha is below tol::kPivotTol. They are unusable as pivots, but a
     // sub-tolerance alpha times a wide variable range (big-M columns) can
     // still move the row, so an eventual "no entering column" verdict
     // proves infeasibility only if the violation exceeds this slack.
@@ -967,7 +971,7 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
       if (lower_[static_cast<std::size_t>(j)] == upper_[static_cast<std::size_t>(j)])
         continue;  // fixed variable cannot move
       const double alpha = alpha_.values[static_cast<std::size_t>(j)];
-      if (std::fabs(alpha) <= opt_.pivot_tol) {
+      if (std::fabs(alpha) <= tol::kPivotTol) {
         if (alpha != 0.0) {
           // Repair of x_B(r) per unit increase of x_j is -alpha (below
           // violation) or +alpha (above); moving down gives the negative.
@@ -1033,7 +1037,7 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
                                     value_[static_cast<std::size_t>(leaving)]
                               : value_[static_cast<std::size_t>(leaving)] -
                                     upper_[static_cast<std::size_t>(leaving)];
-      if (viol <= tiny_gain + opt_.feasibility_tol) return SolveStatus::kNumericalFailure;
+      if (viol <= tiny_gain + tol::kFeasTol) return SolveStatus::kNumericalFailure;
       // The alphas came from `br`, which is only as good as the LU + eta
       // solve that produced it (a stale hint or an ill-conditioned eta
       // chain can corrupt it). The proof is only as good as br being a
@@ -1055,7 +1059,7 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
     const double sigma = static_cast<double>(entering_dir);
     ftran_column(entering);
     const double wr = w_.values[static_cast<std::size_t>(leaving_row)];
-    if (std::fabs(wr) <= opt_.pivot_tol) return SolveStatus::kNumericalFailure;
+    if (std::fabs(wr) <= tol::kPivotTol) return SolveStatus::kNumericalFailure;
 
     // Incremental dual update, using the already-computed leaving row:
     // y' = y + (d_q / alpha_q) br. Exact for the new basis.
@@ -1094,10 +1098,10 @@ SolveStatus Engine::iterate_dual(const std::vector<double>& cost, int* iters) {
     if (t > tol::kTieTol) {
       stall = 0;
       bland = false;
-    } else if (++stall > opt_.stall_limit) {
+    } else if (++stall > kStallLimit) {
       bland = true;
-      if (opt_.enable_recovery && !perturb_used_ && stall > 4 * opt_.stall_limit &&
-          recoveries_ < opt_.max_recoveries) {
+      if (opt_.enable_recovery && !perturb_used_ && stall > 4 * kStallLimit &&
+          recoveries_ < kMaxRecoveries) {
         ++recoveries_;
         perturb_bounds();
         compute_duals(cost, &y);
@@ -1187,7 +1191,7 @@ SimplexResult Engine::solve_cold(const std::vector<BoundOverride>& overrides) {
       // Never declare infeasibility off drifted values: when the residual
       // check fails, re-derive the point from fresh factors and
       // re-optimize phase 1 once before trusting the verdict.
-      if (opt_.enable_recovery && !residuals_ok() && recoveries_ < opt_.max_recoveries) {
+      if (opt_.enable_recovery && !residuals_ok() && recoveries_ < kMaxRecoveries) {
         ++recoveries_;
         ++recovery_.residual_failures;
         ++recovery_.resolves;
@@ -1230,7 +1234,7 @@ SimplexResult Engine::solve_cold(const std::vector<BoundOverride>& overrides) {
     // drift, re-solve once from fresh factors before reporting failure.
     ++recovery_.residual_failures;
     st = SolveStatus::kNumericalFailure;
-    if (opt_.enable_recovery && recoveries_ < opt_.max_recoveries) {
+    if (opt_.enable_recovery && recoveries_ < kMaxRecoveries) {
       ++recoveries_;
       ++recovery_.resolves;
       if (refactorize()) {
@@ -1292,7 +1296,7 @@ SimplexResult Engine::solve_dual(const std::vector<BoundOverride>& overrides,
 
   SolveStatus st = run_pass();
   if (st == SolveStatus::kNumericalFailure && opt_.enable_recovery &&
-      recoveries_ < opt_.max_recoveries) {
+      recoveries_ < kMaxRecoveries) {
     ++recoveries_;
     ++recovery_.resolves;
     if (refactorize()) st = run_pass();
@@ -1303,7 +1307,7 @@ SimplexResult Engine::solve_dual(const std::vector<BoundOverride>& overrides,
     // factors when it drifted.
     ++recovery_.residual_failures;
     st = SolveStatus::kNumericalFailure;
-    if (opt_.enable_recovery && recoveries_ < opt_.max_recoveries) {
+    if (opt_.enable_recovery && recoveries_ < kMaxRecoveries) {
       ++recoveries_;
       ++recovery_.resolves;
       if (refactorize()) {

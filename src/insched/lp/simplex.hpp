@@ -37,7 +37,6 @@
 
 #include "insched/lp/basis.hpp"
 #include "insched/lp/model.hpp"
-#include "insched/lp/tolerances.hpp"
 
 namespace insched::lp {
 
@@ -52,35 +51,21 @@ enum class SolveStatus {
 [[nodiscard]] const char* to_string(SolveStatus status) noexcept;
 
 struct SimplexOptions {
-  double pivot_tol = tol::kPivotTol;        ///< minimum |pivot| accepted
-  double feasibility_tol = tol::kFeasTol;  ///< bound/row violation tolerance
-  double optimality_tol = tol::kOptTol;   ///< reduced-cost tolerance
   int max_iterations = 200000;    ///< across both phases
   int refactor_interval = 128;    ///< pivots between basis refactorizations
-  int stall_limit = 64;           ///< degenerate pivots before Bland's rule
   int price_block_size = 512;     ///< partial-pricing block (<= 0: full Dantzig scan)
-  /// FTRAN/BTRAN right-hand-side density (nonzeros / m) above which the
-  /// factorization switches to its branch-free dense-mode kernels. Tuned on
-  /// the staircase benches (docs/FORMULATION.md); <= 0 keeps every solve on
-  /// the hyper-sparse path, >= 1 disables the dense mode too.
-  double dense_solve_threshold = 0.2;
   bool collect_basis = false;     ///< export the optimal basis + factorization
   bool want_duals = true;         ///< compute duals/reduced costs on optimal exit
   bool enable_recovery = true;    ///< run the numerical-recovery ladder
-  int max_recoveries = 8;         ///< ladder invocations per solve before giving up
-  /// Wall-clock deadline checked *inside* the pivot loops (every
-  /// `deadline_check_interval` iterations), not just between solves: a
-  /// degenerate model can spend tens of seconds in one simplex call (ROADMAP
-  /// 2b), so a between-calls check alone lets a 10 s MIP budget overrun to
-  /// ~70 s. Expiry surfaces as kIterationLimit — callers on the MIP side map
-  /// that to their kTimeLimit/degradation ladder. The default (time_point::
-  /// max()) never expires and skips the clock read entirely.
+  /// Wall-clock deadline checked *inside* the pivot loops (every 256
+  /// iterations), not just between solves: a degenerate model can spend
+  /// tens of seconds in one simplex call, so a between-calls check alone
+  /// lets a 10 s MIP budget overrun to ~70 s. Expiry surfaces as
+  /// kIterationLimit — callers on the MIP side map that to their
+  /// kTimeLimit/degradation ladder. The default (time_point::max()) never
+  /// expires and skips the clock read entirely.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Pivots between deadline checks; small enough that one slice of
-  /// iterations cannot blow a budget, large enough that the clock read is
-  /// amortized to noise.
-  int deadline_check_interval = 256;
 };
 
 /// Counters of the numerical-recovery ladder: every detection event and

@@ -21,14 +21,14 @@ namespace insched::lp::tol {
 
 // --- simplex ---------------------------------------------------------------
 
-/// Minimum |pivot| accepted by the ratio tests (SimplexOptions::pivot_tol).
+/// Minimum |pivot| accepted by the simplex ratio tests and LU factorization.
 inline constexpr double kPivotTol = 1e-9;
 
-/// Primal feasibility: bound/row violation slack (SimplexOptions::
-/// feasibility_tol, presolve row-consistency checks, probing row checks).
+/// Primal feasibility: bound/row violation slack of the simplex, presolve
+/// row-consistency checks and probing row checks.
 inline constexpr double kFeasTol = 1e-7;
 
-/// Dual feasibility: reduced-cost slack (SimplexOptions::optimality_tol).
+/// Dual feasibility: reduced-cost slack of the simplex pricing.
 inline constexpr double kOptTol = 1e-9;
 
 /// Residual acceptance for FTRAN/BTRAN spot checks and the phase-1
@@ -57,8 +57,8 @@ inline constexpr double kPerturbScale = 1e-10;
 /// style clamps, cut-coefficient equality, bound identity.
 inline constexpr double kCoeffTol = 1e-9;
 
-/// Integrality tolerance (MipOptions::int_tol) and the acceptance slack for
-/// heuristic integer points.
+/// Integrality tolerance of the branch-and-bound and its heuristics, and the
+/// acceptance slack for heuristic integer points.
 inline constexpr double kIntTol = 1e-6;
 
 /// Branch-and-bound termination gap (MipOptions::gap_abs default).
@@ -68,7 +68,7 @@ inline constexpr double kGapAbsTol = 1e-6;
 /// erase the other side's signal.
 inline constexpr double kScoreFloor = 1e-6;
 
-/// Minimum normalized violation for root/tree cut separation.
+/// Minimum violation for root/tree cut separation and root pool selection.
 inline constexpr double kCutViolationTol = 1e-4;
 
 /// Minimum normalized violation for CutPool::select to hand a cut out.

@@ -72,6 +72,27 @@ constexpr std::size_t kFactorCacheSize = 32;
 /// shared table.
 constexpr long kPcMergeInterval = 32;
 
+// Root cutting loop: rounds, cuts appended per round, Gomory cuts per round;
+// selection skips a cut this parallel (cosine) to a selected one, and a
+// pooled cut ages out after this many rounds unselected.
+constexpr int kMaxCutRounds = 4;
+constexpr int kMaxRootCutsPerRound = 64;
+constexpr int kMaxGomoryCutsPerRound = 16;
+constexpr double kCutMaxParallel = 0.95;
+constexpr int kCutMaxAge = 4;
+// In-tree separation down to this depth; at most this many cut-and-branch
+// restarts, none after this many nodes, each needing this many pooled cuts.
+constexpr int kCutNodeDepth = 8;
+constexpr int kMaxTreeRestarts = 2;
+constexpr long kRestartNodeBudget = 2048;
+constexpr int kMinRestartCuts = 8;
+// Reliability branching: observations per side before a pseudo-cost is
+// trusted; columns probed per node (2 LPs each), pivots per probe, depth.
+constexpr long kReliableObservations = 4;
+constexpr int kStrongBranchCandidates = 8;
+constexpr int kStrongBranchIterations = 100;
+constexpr int kStrongBranchDepth = 16;
+
 /// Everything observable from one LP solve, as MipCounters fields:
 /// factorization stats plus any recovery-ladder rungs the engine had to
 /// take. `add(field, by)` accumulates one field.
@@ -259,7 +280,7 @@ int Search::pick_branch_var(const SearchNode& node, const std::vector<double>& x
     if (c.type == lp::VarType::kContinuous) continue;
     const double v = x[static_cast<std::size_t>(j)];
     const double dist = std::fabs(v - std::round(v));
-    if (dist <= opt_.int_tol) continue;
+    if (dist <= lp::tol::kIntTol) continue;
     double score;
     const auto js = static_cast<std::size_t>(j);
     if (pc_scores && pc_read.up_n[js] + pc_read.down_n[js] > 0) {
@@ -281,25 +302,24 @@ int Search::pick_branch_var(const SearchNode& node, const std::vector<double>& x
   if (cands.empty()) return -1;
 
   // Reliability branching: while a candidate's pseudo-cost rests on fewer
-  // than `reliability` observations per side, replace its estimated score by
+  // than kReliableObservations per side, replace its estimated score by
   // two bounded strong-branching dual probes from this node's own optimal
   // basis. Optimal probes feed the pseudo-cost table, so probing pays for
   // itself and dies out as the table matures.
   if (opt_.branching == Branching::kReliability && sb_ws && basis && !basis->empty() &&
-      node.depth <= opt_.strong_branch_depth && opt_.strong_branch_candidates > 0) {
+      node.depth <= kStrongBranchDepth) {
     std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
       return a.score != b.score ? a.score > b.score : a.j < b.j;
     });
-    // Observations count from both the shared snapshot and this worker's
-    // unmerged delta.
-    const long need = std::max(1, opt_.reliability);
     int probed = 0;
     for (Cand& c : cands) {
-      if (probed >= opt_.strong_branch_candidates) break;
+      if (probed >= kStrongBranchCandidates) break;
+      // Observations count from both the shared snapshot and this worker's
+      // unmerged delta.
       const auto js = static_cast<std::size_t>(c.j);
       const long up_n = pc_read.up_n[js] + pc_write.up_n[js];
       const long down_n = pc_read.down_n[js] + pc_write.down_n[js];
-      if (std::min(up_n, down_n) >= need) continue;
+      if (std::min(up_n, down_n) >= kReliableObservations) continue;
       ++probed;
 
       // Effective bounds of c.j at this node (later overrides win).
@@ -430,7 +450,7 @@ std::optional<std::vector<double>> Search::warm_round_and_fix(
     if (base_.column(j).type != lp::VarType::kContinuous)
       x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
   }
-  if (!base_.is_feasible(x, std::max(opt_.int_tol, lp::tol::kIntTol))) return std::nullopt;
+  if (!base_.is_feasible(x, lp::tol::kIntTol)) return std::nullopt;
   return x;
 }
 
@@ -474,7 +494,7 @@ std::optional<std::vector<double>> Search::warm_dive(lp::WarmSimplex& ws,
       if (fixed[js] || lo[js] == hi[js]) continue;
       const double v = current[js];
       const double dist = std::fabs(v - std::round(v));
-      if (dist <= opt_.int_tol) continue;
+      if (dist <= lp::tol::kIntTol) continue;
       if (dist < best_dist) {
         best_dist = dist;
         pick = j;
@@ -528,7 +548,7 @@ void Search::node_heuristic(lp::WarmSimplex* heur_ws, const SearchNode& node,
   // No usable basis: fall back to the model-copying cold path.
   lp::Model local = base_;
   for (const lp::BoundOverride& o : node.bounds) local.set_bounds(o.column, o.lower, o.upper);
-  if (auto x = round_and_fix(local, xrel, opt_.lp, opt_.int_tol)) offer_point(*x, node_id);
+  if (auto x = round_and_fix(local, xrel, opt_.lp)) offer_point(*x, node_id);
 }
 
 lp::SimplexResult Search::solve_node(lp::WarmSimplex& ws, const SearchNode& node,
@@ -582,22 +602,19 @@ lp::SimplexResult Search::solve_node(lp::WarmSimplex& ws, const SearchNode& node
 void Search::separate_in_tree(const SearchNode& node, const std::vector<double>& x) {
   if (!opt_.in_tree_cuts || !cut_pool_) return;
   if (!(opt_.use_cover_cuts || opt_.use_clique_cuts || opt_.use_mir_cuts)) return;
-  if (node.depth == 0 || node.depth > opt_.cut_node_depth) return;
-  if (restarts_done_ >= opt_.max_tree_restarts) return;
-  if (nodes_.load(std::memory_order_relaxed) > opt_.restart_node_budget) return;
+  if (node.depth == 0 || node.depth > kCutNodeDepth) return;
+  if (restarts_done_ >= kMaxTreeRestarts) return;
+  if (nodes_.load(std::memory_order_relaxed) > kRestartNodeBudget) return;
   // Injected separator failure: cuts are optional, so the round just yields
   // nothing — the search must still prove the optimum from branching alone.
   if (fault::enabled() && fault::should_fail(fault::Hook::kCutSeparation)) return;
   int fresh = 0;
-  if (opt_.use_cover_cuts)
-    fresh += cut_pool_->add_all(
-        generate_cover_cuts(base_, x, opt_.cut_min_violation, opt_.lift_cover_cuts));
+  if (opt_.use_cover_cuts) fresh += cut_pool_->add_all(generate_cover_cuts(base_, x));
   if (opt_.use_clique_cuts)
-    fresh += cut_pool_->add_all(
-        generate_clique_cuts(base_, x, conflicts_, opt_.cut_min_violation));
+    fresh += cut_pool_->add_all(generate_clique_cuts(base_, x, conflicts_));
   if (opt_.use_mir_cuts)
-    fresh += cut_pool_->add_all(generate_mir_cuts(base_, x, opt_.cut_min_violation));
-  if (fresh > 0 && cut_pool_->size() >= opt_.min_restart_cuts &&
+    fresh += cut_pool_->add_all(generate_mir_cuts(base_, x));
+  if (fresh > 0 && cut_pool_->size() >= kMinRestartCuts &&
       !restart_requested_.load(std::memory_order_relaxed)) {
     restart_requested_.store(true, std::memory_order_relaxed);
     pool_->stop();  // drain the workers; run_tree restarts
@@ -694,7 +711,7 @@ void Search::tree_worker(int tid) {
       lp::SimplexOptions sb_lpopt = opt_.lp;
       sb_lpopt.collect_basis = false;
       sb_lpopt.want_duals = false;
-      sb_lpopt.max_iterations = std::max(1, opt_.strong_branch_iterations);
+      sb_lpopt.max_iterations = kStrongBranchIterations;
       sb_ws.emplace(base_, sb_lpopt);
     }
   };
@@ -813,7 +830,6 @@ void Search::finalize(bool proved) {
     counters_.cuts_applied_mir = cc.applied_mir;
     counters_.cuts_aged = cc.aged_out;
     counters_.cuts_duplicate = cc.duplicates;
-    counters_.cuts_evicted = cc.evicted;
   }
   counters_.tree_restarts = restarts_done_;
   result_.counters = counters_;
@@ -905,22 +921,17 @@ bool Search::separate_root(lp::SimplexResult* root) {
   long btrans = 0;
   std::vector<std::function<void()>> separators;
   if (opt_.use_cover_cuts)
-    separators.push_back([&] {
-      cover_batch =
-          generate_cover_cuts(base_, root->x, opt_.cut_min_violation, opt_.lift_cover_cuts);
-    });
+    separators.push_back([&] { cover_batch = generate_cover_cuts(base_, root->x); });
   if (opt_.use_clique_cuts)
-    separators.push_back([&] {
-      clique_batch = generate_clique_cuts(base_, root->x, conflicts_, opt_.cut_min_violation);
-    });
-  if (opt_.use_mir_cuts)
     separators.push_back(
-        [&] { mir_batch = generate_mir_cuts(base_, root->x, opt_.cut_min_violation); });
+        [&] { clique_batch = generate_clique_cuts(base_, root->x, conflicts_); });
+  if (opt_.use_mir_cuts)
+    separators.push_back([&] { mir_batch = generate_mir_cuts(base_, root->x); });
   if (opt_.use_gomory_cuts && !root->basis.empty())
     separators.push_back([&] {
       gomory_batch = generate_gomory_cuts(
           base_, root->x, root->basis, root->factor.get(),
-          std::max(0, opt_.max_gomory_cuts_per_round), opt_.cut_min_violation, &btrans);
+          kMaxGomoryCutsPerRound, lp::tol::kCutViolationTol, &btrans);
     });
   if (opt_.parallel_separation && separators.size() > 1) {
     insched::parallel_run(static_cast<int>(separators.size()),
@@ -935,8 +946,7 @@ bool Search::separate_root(lp::SimplexResult* root) {
   // The Gomory separator's tableau BTRANs happen outside any simplex solve.
   bump(&MipCounters::lp_btran, btrans);
   const std::vector<Cut> selected =
-      cut_pool_->select(root->x, std::max(1, opt_.max_root_cuts_per_round),
-                        opt_.cut_min_violation, opt_.cut_max_parallel);
+      cut_pool_->select(root->x, kMaxRootCutsPerRound, lp::tol::kCutViolationTol, kCutMaxParallel);
   if (selected.empty()) return false;
   return apply_cuts(selected, root);
 }
@@ -949,9 +959,9 @@ bool Search::separate_root(lp::SimplexResult* root) {
 // returns null only when even the unchanged base model fails to re-solve.
 NodePtr Search::try_restart() {
   lp::SimplexResult root;
-  const int take = std::max(1, opt_.max_root_cuts_per_round) * 2;
+  const int take = kMaxRootCutsPerRound * 2;
   const std::vector<Cut> pooled = cut_pool_->select(
-      root_x_, take, -std::numeric_limits<double>::infinity(), opt_.cut_max_parallel);
+      root_x_, take, -std::numeric_limits<double>::infinity(), kCutMaxParallel);
   if (!apply_cuts(pooled, &root)) {
     lp::SimplexOptions root_lp = opt_.lp;
     root_lp.collect_basis = true;
@@ -1092,8 +1102,7 @@ MipResult Search::run() {
   // and restarts use them); the root rounds run all families — the trial
   // re-solve inside apply_cuts() guarantees a failed cut LP never replaces
   // the working root, so no recovery pass is needed here.
-  cut_pool_ = std::make_unique<CutPool>(std::max(1, opt_.cut_max_age),
-                                        std::max(0, opt_.cut_pool_capacity));
+  cut_pool_ = std::make_unique<CutPool>(kCutMaxAge);
   if (opt_.use_clique_cuts) {
     conflicts_.build(base_, implications_);
     counters_.conflict_cliques = conflicts_.cliques();
@@ -1101,7 +1110,7 @@ MipResult Search::run() {
   }
   root_x_ = root.x;
   if (cuts_enabled()) {
-    for (int round = 0; round < opt_.max_cut_rounds; ++round) {
+    for (int round = 0; round < kMaxCutRounds; ++round) {
       // Cut separation + the trial re-solve inside apply_cuts can be as
       // expensive as the root LP itself; stop opening new rounds once the
       // wall-clock budget is spent and hand the remaining time to the tree.
@@ -1164,8 +1173,8 @@ MipResult Search::run() {
       }
     } else {
       // Cold path only when the root solve could not export a basis.
-      if (auto x = round_and_fix(base_, root.x, opt_.lp, opt_.int_tol)) offer_point(*x, -1);
-      else if (auto xd = dive(base_, root.x, opt_.lp, opt_.int_tol)) offer_point(*xd, -1);
+      if (auto x = round_and_fix(base_, root.x, opt_.lp)) offer_point(*x, -1);
+      else if (auto xd = dive(base_, root.x, opt_.lp)) offer_point(*xd, -1);
     }
   }
 
@@ -1258,6 +1267,7 @@ MipResult solve_mip(const lp::Model& model, const MipOptions& options) {
     probing_counters.probing_fixed = static_cast<long>(probing.fixed_columns.size());
     probing_counters.probing_aggregated = static_cast<long>(probing.aggregations.size());
     probing_counters.probing_implications = static_cast<long>(probing.implications.size());
+    probing_counters.probing_work_limited = probing.work_limited ? 1 : 0;
     if (probing.infeasible) return infeasible_out();
     if (probing.has_reductions()) {
       long tightened = 0;

@@ -37,7 +37,7 @@ enum class Branching {
   kPseudoCost,
   /// Pseudo-costs whose per-column estimates are initialized by bounded
   /// strong-branching dual-simplex probes until the column has been observed
-  /// `MipOptions::reliability` times on each side.
+  /// four times on each side.
   kReliability,
 };
 
@@ -74,8 +74,7 @@ struct MipSnapshot {
 };
 
 struct MipOptions {
-  double int_tol = lp::tol::kIntTol;        ///< integrality tolerance
-  double gap_abs = lp::tol::kGapAbsTol;        ///< terminate when bound-incumbent gap below this
+  double gap_abs = lp::tol::kGapAbsTol;  ///< terminate when bound-incumbent gap below this
   long max_nodes = 500000;
   /// Wall-clock limit. A non-positive limit expires right after the root LP
   /// and its heuristic, so the result is a deterministic kTimeLimit
@@ -108,9 +107,8 @@ struct MipOptions {
   /// sequential run.
   bool parallel_separation = true;
   bool use_rounding_heuristic = true;
+  /// Cover cuts on binary knapsack rows, with exact sequential lifting.
   bool use_cover_cuts = true;
-  /// Exact sequential lifting of cover cuts (profit-space DP).
-  bool lift_cover_cuts = true;
   /// GUB/clique cuts from interval windows + probing conflict edges.
   bool use_clique_cuts = true;
   /// Gomory mixed-integer cuts from the root LU tableau (root-only: the
@@ -120,38 +118,12 @@ struct MipOptions {
   /// by a row coefficient yields the cardinality bound that closes the
   /// near-equal-cost plateau. Globally valid, so also separated in-tree.
   bool use_mir_cuts = true;
-  int max_cut_rounds = 4;
-  /// Cuts appended to the model per root separation round (violation-ranked,
-  /// parallelism-filtered pool selection).
-  int max_root_cuts_per_round = 64;
-  int max_gomory_cuts_per_round = 16;
-  /// Minimum normalized violation for a pool cut to be selected.
-  double cut_min_violation = lp::tol::kCutViolationTol;
-  /// Selection skips a cut whose cosine against an already selected one
-  /// reaches this value.
-  double cut_max_parallel = 0.95;
-  /// Selection rounds a pooled cut survives unselected before aging out.
-  int cut_max_age = 4;
-  /// Hard cap on pooled (unapplied) cuts; 0 = unbounded. At capacity the
-  /// pool evicts its stalest entry (highest age, oldest id) per new offer,
-  /// bounding pool memory on cut-heavy models.
-  int cut_pool_capacity = 0;
   /// In-tree separation: shallow nodes also run the (globally valid) cover
   /// and clique separators into the shared pool; when enough fresh cuts
   /// accumulate early, the tree is restarted with the cuts appended to the
   /// model (cut-and-branch). Node workspaces are bound to a fixed row set,
   /// so a restart is the only way tree cuts can enter the node LPs.
   bool in_tree_cuts = true;
-  int cut_node_depth = 8;        ///< separate at nodes no deeper than this
-  int max_tree_restarts = 2;
-  long restart_node_budget = 2048;  ///< no restarts after this many nodes
-  int min_restart_cuts = 8;         ///< pooled fresh cuts needed to restart
-  /// Reliability branching: observations per side before a column's
-  /// pseudo-cost is trusted without probing.
-  int reliability = 4;
-  int strong_branch_candidates = 8;   ///< probed columns per node (2 LPs each)
-  int strong_branch_iterations = 100; ///< dual pivot cap per probe
-  int strong_branch_depth = 16;       ///< probe only at nodes this shallow
 
   /// Worker threads for the tree search; 0 = insched::thread_count().
   /// Requests beyond the machine's hardware concurrency are clamped (extra
@@ -222,7 +194,6 @@ struct MipCounters {
   long cuts_applied_mir = 0;     ///< of cuts_applied: MIR cuts
   long cuts_aged = 0;        ///< pooled cuts dropped by aging
   long cuts_duplicate = 0;   ///< offers rejected as already seen
-  long cuts_evicted = 0;     ///< pooled cuts evicted by the capacity cap
   long tree_restarts = 0;    ///< cut-and-branch restarts performed
   long conflict_cliques = 0; ///< rows stored whole in the conflict graph's clique table
   long conflict_edges = 0;   ///< explicit conflict-graph edges (partial rows, implications)
@@ -252,6 +223,7 @@ struct MipCounters {
   long probing_aggregated = 0;  ///< columns substituted out (y == x, y == 1-x)
   long probing_implications = 0;///< conflict implications recorded
   long probing_tightened = 0;   ///< row coefficients tightened
+  long probing_work_limited = 0;///< probing passes cut short by the work limit
 
   // Reliability branching.
   long strong_branch_lps = 0;   ///< bounded strong-branching dual solves
@@ -339,7 +311,6 @@ inline constexpr CounterField kMipCounterFields[] = {
     {"cuts_applied_mir", &MipCounters::cuts_applied_mir, CounterMerge::kSum},
     {"cuts_aged", &MipCounters::cuts_aged, CounterMerge::kSum},
     {"cuts_duplicate", &MipCounters::cuts_duplicate, CounterMerge::kSum},
-    {"cuts_evicted", &MipCounters::cuts_evicted, CounterMerge::kSum},
     {"tree_restarts", &MipCounters::tree_restarts, CounterMerge::kSum},
     {"conflict_cliques", &MipCounters::conflict_cliques, CounterMerge::kSum},
     {"conflict_edges", &MipCounters::conflict_edges, CounterMerge::kSum},
@@ -355,6 +326,7 @@ inline constexpr CounterField kMipCounterFields[] = {
     {"probing_aggregated", &MipCounters::probing_aggregated, CounterMerge::kSum},
     {"probing_implications", &MipCounters::probing_implications, CounterMerge::kSum},
     {"probing_tightened", &MipCounters::probing_tightened, CounterMerge::kSum},
+    {"probing_work_limited", &MipCounters::probing_work_limited, CounterMerge::kSum},
     {"strong_branch_lps", &MipCounters::strong_branch_lps, CounterMerge::kSum},
     {"lp_ftran", &MipCounters::lp_ftran, CounterMerge::kSum},
     {"lp_btran", &MipCounters::lp_btran, CounterMerge::kSum},

@@ -74,19 +74,6 @@ bool CutPool::add(Cut cut) {
     ++counters_.duplicates;
     return false;
   }
-  if (capacity_ > 0 && static_cast<int>(entries_.size()) >= capacity_) {
-    // Evict the stalest pooled cut (highest age, oldest id on ties): a cut
-    // that survived many selection rounds unselected is the least likely to
-    // ever be applied, and the fresh offer is violated *now*.
-    std::size_t victim = 0;
-    for (std::size_t k = 1; k < entries_.size(); ++k) {
-      const Entry& a = entries_[k];
-      const Entry& b = entries_[victim];
-      if (a.age > b.age || (a.age == b.age && a.id < b.id)) victim = k;
-    }
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++counters_.evicted;
-  }
   Entry e;
   e.norm = entry_norm(cut);
   e.cut = std::move(cut);

@@ -28,17 +28,12 @@ struct CutPoolCounters {
   long applied_gomory = 0;  ///< of `applied`: Gomory mixed-integer cuts
   long applied_mir = 0;     ///< of `applied`: MIR cuts
   long aged_out = 0;    ///< cuts dropped after going unselected too long
-  long evicted = 0;     ///< cuts displaced by the capacity cap
 };
 
 class CutPool {
  public:
-  /// `capacity` caps the pooled (unapplied) cuts; 0 = unbounded. At capacity
-  /// an incoming fresh cut evicts the stalest pooled entry — highest age,
-  /// oldest id on ties — so the pool degrades deterministically instead of
-  /// growing without bound on cut-heavy models.
-  explicit CutPool(int max_age = 4, int capacity = 0)
-      : max_age_(max_age), capacity_(capacity) {}
+  /// A pooled cut survives `max_age` selection rounds unselected.
+  explicit CutPool(int max_age) : max_age_(max_age) {}
 
   /// Offers one cut. Returns false when an identical cut (same type, rhs and
   /// entries up to 1e-9 rounding) was already offered — including cuts that
@@ -76,7 +71,6 @@ class CutPool {
   std::unordered_set<std::uint64_t> seen_ INSCHED_GUARDED_BY(mu_);
   CutPoolCounters counters_ INSCHED_GUARDED_BY(mu_);
   const int max_age_;
-  const int capacity_;
   long next_id_ INSCHED_GUARDED_BY(mu_) = 0;
 };
 

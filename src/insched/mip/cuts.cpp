@@ -125,7 +125,7 @@ std::vector<Cut> generate_mir_cuts(const lp::Model& model, const std::vector<dou
 }
 
 std::vector<Cut> generate_cover_cuts(const lp::Model& model, const std::vector<double>& x,
-                                     double min_violation, bool lift) {
+                                     double min_violation) {
   std::vector<Cut> cuts;
   std::vector<int> order;
   std::vector<char> in_cover;
@@ -191,42 +191,40 @@ std::vector<Cut> generate_cover_cuts(const lp::Model& model, const std::vector<d
       lhs += value(idx);
     }
 
-    if (lift) {
-      // Exact sequential lifting of variables outside the cover. A variable
-      // only gets a positive coefficient when setting it to 1 displaces at
-      // least two cover items, i.e. a_j > rhs - (weight of the r-1 lightest
-      // cover items); candidates are processed heaviest-first and each
-      // lifted item joins the DP so later coefficients stay exact.
-      double prefix_all_but_heaviest = 0.0;  // cover sorted ascending already
-      for (std::size_t k = 0; k + 1 < r; ++k) prefix_all_but_heaviest += coeff(cover[k]);
-      std::vector<int> outside;
-      for (std::size_t idx = 0; idx < row.entries.size(); ++idx) {
-        if (in_cover[idx]) continue;
-        if (coeff(static_cast<int>(idx)) > row.rhs - prefix_all_but_heaviest + kEps)
-          outside.push_back(static_cast<int>(idx));
-      }
-      if (!outside.empty()) {
-        std::sort(outside.begin(), outside.end(),
-                  [&](int a, int b) { return coeff(a) > coeff(b); });
-        constexpr std::size_t kMaxLifted = 32;
-        if (outside.size() > kMaxLifted) outside.resize(kMaxLifted);
-        dp.reset(row.rhs);
-        for (int idx : cover) dp.add_item(1, coeff(idx));
-        for (int idx : outside) {
-          const double cap = row.rhs - coeff(idx);
-          const int alpha =
-              static_cast<int>(r) - 1 - (cap < -kEps ? 0 : dp.max_profit(cap));
-          if (alpha <= 0) continue;
-          // cap < 0 means x_j = 1 is infeasible for the row on its own; the
-          // strongest valid coefficient is then rhs of the cut itself.
-          const int a = cap < -kEps ? static_cast<int>(r) - 1 : alpha;
-          cut.entries.push_back(
-              lp::RowEntry{row.entries[static_cast<std::size_t>(idx)].column,
-                           static_cast<double>(a)});
-          lhs += static_cast<double>(a) * value(idx);
-          cut.family = CutFamily::kLiftedCover;
-          dp.add_item(a, coeff(idx));
-        }
+    // Exact sequential lifting of variables outside the cover. A variable
+    // only gets a positive coefficient when setting it to 1 displaces at
+    // least two cover items, i.e. a_j > rhs - (weight of the r-1 lightest
+    // cover items); candidates are processed heaviest-first and each
+    // lifted item joins the DP so later coefficients stay exact.
+    double prefix_all_but_heaviest = 0.0;  // cover sorted ascending already
+    for (std::size_t k = 0; k + 1 < r; ++k) prefix_all_but_heaviest += coeff(cover[k]);
+    std::vector<int> outside;
+    for (std::size_t idx = 0; idx < row.entries.size(); ++idx) {
+      if (in_cover[idx]) continue;
+      if (coeff(static_cast<int>(idx)) > row.rhs - prefix_all_but_heaviest + kEps)
+        outside.push_back(static_cast<int>(idx));
+    }
+    if (!outside.empty()) {
+      std::sort(outside.begin(), outside.end(),
+                [&](int a, int b) { return coeff(a) > coeff(b); });
+      constexpr std::size_t kMaxLifted = 32;
+      if (outside.size() > kMaxLifted) outside.resize(kMaxLifted);
+      dp.reset(row.rhs);
+      for (int idx : cover) dp.add_item(1, coeff(idx));
+      for (int idx : outside) {
+        const double cap = row.rhs - coeff(idx);
+        const int alpha =
+            static_cast<int>(r) - 1 - (cap < -kEps ? 0 : dp.max_profit(cap));
+        if (alpha <= 0) continue;
+        // cap < 0 means x_j = 1 is infeasible for the row on its own; the
+        // strongest valid coefficient is then rhs of the cut itself.
+        const int a = cap < -kEps ? static_cast<int>(r) - 1 : alpha;
+        cut.entries.push_back(
+            lp::RowEntry{row.entries[static_cast<std::size_t>(idx)].column,
+                         static_cast<double>(a)});
+        lhs += static_cast<double>(a) * value(idx);
+        cut.family = CutFamily::kLiftedCover;
+        dp.add_item(a, coeff(idx));
       }
     }
 

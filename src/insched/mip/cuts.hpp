@@ -40,14 +40,13 @@ struct Cut {
 /// Scans every <= row whose live entries are all binary columns with positive
 /// coefficients, finds a minimal cover C (sum of coefficients over C exceeds
 /// the rhs), and emits sum_{j in C} x_j <= |C|-1 when the LP point violates
-/// it by more than `min_violation`. With `lift` set, variables outside the
-/// cover get exact sequentially-lifted coefficients (computed by a
-/// profit-space knapsack DP over the cover + previously lifted items), which
-/// strengthens the cut without ever cutting an integer point of the row.
+/// it by more than `min_violation`. Variables outside the cover get exact
+/// sequentially-lifted coefficients (computed by a profit-space knapsack DP
+/// over the cover + previously lifted items), which strengthens the cut
+/// without ever cutting an integer point of the row.
 [[nodiscard]] std::vector<Cut> generate_cover_cuts(const lp::Model& model,
                                                    const std::vector<double>& x,
-                                                   double min_violation = lp::tol::kCutViolationTol,
-                                                   bool lift = true);
+                                                   double min_violation = lp::tol::kCutViolationTol);
 
 /// Greedily grows cliques in `conflicts` around fractional binaries (largest
 /// LP value first) and emits sum_{j in clique} x_j <= 1 when violated. Cuts

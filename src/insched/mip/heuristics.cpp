@@ -17,16 +17,15 @@ namespace {
   return r;
 }
 
-[[nodiscard]] bool is_fractional(double v, double tol) {
-  return std::fabs(v - std::round(v)) > tol;
+[[nodiscard]] bool is_fractional(double v) {
+  return std::fabs(v - std::round(v)) > lp::tol::kIntTol;
 }
 
 }  // namespace
 
 std::optional<std::vector<double>> round_and_fix(const lp::Model& model,
                                                  const std::vector<double>& lp_point,
-                                                 const lp::SimplexOptions& lp_options,
-                                                 double int_tol) {
+                                                 const lp::SimplexOptions& lp_options) {
   INSCHED_EXPECTS(lp_point.size() == static_cast<std::size_t>(model.num_columns()));
   lp::Model fixed = model;
   bool any_integer = false;
@@ -48,14 +47,13 @@ std::optional<std::vector<double>> round_and_fix(const lp::Model& model,
     if (model.column(j).type != lp::VarType::kContinuous)
       x[static_cast<std::size_t>(j)] = std::round(x[static_cast<std::size_t>(j)]);
   }
-  if (!model.is_feasible(x, std::max(int_tol, lp::tol::kIntTol))) return std::nullopt;
+  if (!model.is_feasible(x, lp::tol::kIntTol)) return std::nullopt;
   return x;
 }
 
 std::optional<std::vector<double>> dive(const lp::Model& model,
                                         const std::vector<double>& lp_point,
-                                        const lp::SimplexOptions& lp_options,
-                                        double int_tol, int max_depth) {
+                                        const lp::SimplexOptions& lp_options, int max_depth) {
   lp::Model work = model;
   std::vector<double> current = lp_point;
   for (int depth = 0; depth < max_depth; ++depth) {
@@ -67,7 +65,7 @@ std::optional<std::vector<double>> dive(const lp::Model& model,
       if (c.type == lp::VarType::kContinuous) continue;
       if (c.lower == c.upper) continue;
       const double v = current[static_cast<std::size_t>(j)];
-      if (!is_fractional(v, int_tol)) continue;
+      if (!is_fractional(v)) continue;
       const double dist = std::fabs(v - std::round(v));
       if (dist < best_dist) {
         best_dist = dist;
@@ -77,7 +75,7 @@ std::optional<std::vector<double>> dive(const lp::Model& model,
     if (pick < 0) {
       // All integral: try to finish with a plain round-and-fix (also fixes
       // near-integral drift and re-checks feasibility).
-      return round_and_fix(model, current, lp_options, int_tol);
+      return round_and_fix(model, current, lp_options);
     }
     const lp::Column& col = work.column(pick);
     const double v = current[static_cast<std::size_t>(pick)];

@@ -16,14 +16,14 @@ namespace insched::mip {
 /// for the continuous ones. Returns the full point when feasible.
 [[nodiscard]] std::optional<std::vector<double>> round_and_fix(
     const lp::Model& model, const std::vector<double>& lp_point,
-    const lp::SimplexOptions& lp_options, double int_tol);
+    const lp::SimplexOptions& lp_options);
 
 /// Iterative diving: repeatedly fix the least-fractional integer variable to
 /// its nearest integer and re-solve, up to `max_depth` re-solves. Cheaper to
 /// succeed than plain rounding on tightly coupled models.
 [[nodiscard]] std::optional<std::vector<double>> dive(
     const lp::Model& model, const std::vector<double>& lp_point,
-    const lp::SimplexOptions& lp_options, double int_tol, int max_depth = 64);
+    const lp::SimplexOptions& lp_options, int max_depth = 64);
 
 /// Greedy 0->1 polish of an integer-feasible point: flips on, in descending
 /// objective-gain order, every binary whose activation keeps all row

@@ -12,6 +12,16 @@ namespace insched::mip {
 namespace {
 
 constexpr double kChangeTol = lp::tol::kBoundChangeTol;  ///< minimum bound improvement worth keeping
+constexpr double kFtol = lp::tol::kFeasTol;  ///< bound-crossing and fixed-width slack
+constexpr int kMaxProbeColumns = 2048;  ///< binaries probed, in column order
+constexpr long kMaxPasses = 3;          ///< per-probe visit budget, in multiples of nnz
+
+/// The pass stops once its row-entry visits reach max(kMinWork,
+/// kWorkPerNonzero * nnz): probing cost on the staircase models otherwise
+/// grows quadratically in the step count while fixing next to nothing, and
+/// the limit keeps the pass a deterministic prefix of the probe order.
+constexpr long kMinWork = 1L << 20;
+constexpr long kWorkPerNonzero = 32;
 
 /// Rounds a derived bound onto the integer lattice for integer columns. The
 /// margin is looser than the presolve one because propagated bounds carry
@@ -24,7 +34,7 @@ double round_up(double v) { return std::ceil(v - lp::tol::kIntTol - lp::tol::kCo
 /// global bounds and the per-probe scratch copies.
 class Propagator {
  public:
-  Propagator(const lp::Model& model, double ftol) : model_(&model), ftol_(ftol) {
+  explicit Propagator(const lp::Model& model) : model_(&model) {
     const int n = model.num_columns();
     col_rows_.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < model.num_rows(); ++i) {
@@ -115,7 +125,7 @@ class Propagator {
         inf_max_col = e.column;
       }
     }
-    const double rtol = ftol_ * (1.0 + std::fabs(row.rhs));
+    const double rtol = kFtol * (1.0 + std::fabs(row.rhs));
     const bool need_le = row.type != lp::RowType::kGe;  // Le or Eq: activity <= rhs
     const bool need_ge = row.type != lp::RowType::kLe;  // Ge or Eq: activity >= rhs
     if (need_le && inf_min == 0 && amin > row.rhs + rtol) return false;
@@ -132,14 +142,14 @@ class Propagator {
           if (integral) bound = round_down(bound);
           if (bound < hi[j] - kChangeTol) {
             hi[j] = bound;
-            if (lo[j] > hi[j] + ftol_) return false;
+            if (lo[j] > hi[j] + kFtol) return false;
             touch(e.column, touched);
           }
         } else {
           if (integral) bound = round_up(bound);
           if (bound > lo[j] + kChangeTol) {
             lo[j] = bound;
-            if (lo[j] > hi[j] + ftol_) return false;
+            if (lo[j] > hi[j] + kFtol) return false;
             touch(e.column, touched);
           }
         }
@@ -152,14 +162,14 @@ class Propagator {
           if (integral) bound = round_up(bound);
           if (bound > lo[j] + kChangeTol) {
             lo[j] = bound;
-            if (lo[j] > hi[j] + ftol_) return false;
+            if (lo[j] > hi[j] + kFtol) return false;
             touch(e.column, touched);
           }
         } else {
           if (integral) bound = round_down(bound);
           if (bound < hi[j] - kChangeTol) {
             hi[j] = bound;
-            if (lo[j] > hi[j] + ftol_) return false;
+            if (lo[j] > hi[j] + kFtol) return false;
             touch(e.column, touched);
           }
         }
@@ -169,7 +179,6 @@ class Propagator {
   }
 
   const lp::Model* model_;
-  double ftol_;
   std::vector<std::vector<int>> col_rows_;
   std::vector<int> queue_;
   std::vector<char> in_queue_;
@@ -180,7 +189,7 @@ enum class ColState : char { kFree, kFixed, kAggregated };
 
 }  // namespace
 
-ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& options) {
+ProbingResult probe_binaries(const lp::Model& model) {
   ProbingResult out;
   const int n = model.num_columns();
   if (n == 0 || model.num_rows() == 0) return out;
@@ -195,7 +204,7 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
       if (std::isfinite(lo)) lo = round_up(lo);
       if (std::isfinite(hi)) hi = round_down(hi);
     }
-    if (lo > hi + options.feas_tol) {
+    if (lo > hi + kFtol) {
       out.infeasible = true;
       return out;
     }
@@ -203,16 +212,15 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
     ghi[static_cast<std::size_t>(j)] = hi;
   }
 
-  Propagator prop(model, options.feas_tol);
+  Propagator prop(model);
   const long nnz = [&] {
     long t = 0;
     for (int i = 0; i < model.num_rows(); ++i)
       t += static_cast<long>(model.row(i).entries.size());
     return t;
   }();
-  const long probe_budget = std::max<long>(4096, options.max_passes * nnz);
-  const long work_limit =
-      options.work_limit > 0 ? options.work_limit : std::max<long>(1L << 20, 32 * nnz);
+  const long probe_budget = std::max<long>(4096, kMaxPasses * nnz);
+  const long work_limit = std::max(kMinWork, kWorkPerNonzero * nnz);
   long work_spent = 0;
   std::vector<int> touched;
 
@@ -233,7 +241,7 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
   // Columns the root propagation already pinned.
   for (int j = 0; j < n; ++j) {
     const auto js = static_cast<std::size_t>(j);
-    if (ghi[js] - glo[js] <= options.feas_tol &&
+    if (ghi[js] - glo[js] <= kFtol &&
         !(model.column(j).lower >= model.column(j).upper))
       record_fix(j, glo[js]);
     else if (model.column(j).lower >= model.column(j).upper)
@@ -247,7 +255,7 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
     if (state[js] != ColState::kFree) continue;
     if (model.column(j).type == lp::VarType::kContinuous) continue;
     if (glo[js] == 0.0 && ghi[js] == 1.0) candidates.push_back(j);
-    if (static_cast<int>(candidates.size()) >= options.max_probe_columns) break;
+    if (static_cast<int>(candidates.size()) >= kMaxProbeColumns) break;
   }
 
   std::vector<double> lo0;
@@ -264,7 +272,7 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
     if (!prop.run(glo, ghi, touched, probe_budget, &work_spent)) return false;
     for (int k : touched) {
       const auto ks = static_cast<std::size_t>(k);
-      if (state[ks] == ColState::kFree && ghi[ks] - glo[ks] <= options.feas_tol)
+      if (state[ks] == ColState::kFree && ghi[ks] - glo[ks] <= kFtol)
         record_fix(k, glo[ks]);
     }
     return true;
@@ -311,8 +319,8 @@ ProbingResult probe_binaries(const lp::Model& model, const ProbingOptions& optio
         const auto ks = static_cast<std::size_t>(k);
         if (k == j || state[ks] != ColState::kFree) continue;
         if (glo[ks] != 0.0 || ghi[ks] != 1.0) continue;  // only clean binaries
-        const bool f0 = hi0[ks] - lo0[ks] <= options.feas_tol;
-        const bool f1 = hi1[ks] - lo1[ks] <= options.feas_tol;
+        const bool f0 = hi0[ks] - lo0[ks] <= kFtol;
+        const bool f1 = hi1[ks] - lo1[ks] <= kFtol;
         if (!f0 && !f1) continue;
         const double v0 = f0 ? std::round(lo0[ks]) : -1.0;
         const double v1 = f1 ? std::round(lo1[ks]) : -1.0;

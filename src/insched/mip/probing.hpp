@@ -17,27 +17,19 @@
 // the row activity bounds (a_j' = a_j - delta, rhs' = rhs - delta with
 // delta = rhs - maxact_without_j > 0 cuts fractional points but no integer
 // ones). `PresolveResult::restore` re-derives the eliminated columns.
+//
+// The pass probes at most 2048 binaries, in column order, and stops once
+// its row-entry visits reach max(2^20, 32 * nnz); both limits are constants
+// in probing.cpp. `ProbingResult::work_limited` reports a pass that the
+// visit limit cut short, and `MipCounters::probing_work_limited` carries it
+// into the solve's counters.
 
 #include <vector>
 
 #include "insched/lp/model.hpp"
 #include "insched/lp/presolve.hpp"
-#include "insched/lp/tolerances.hpp"
 
 namespace insched::mip {
-
-struct ProbingOptions {
-  int max_probe_columns = 2048;  ///< probe at most this many binaries
-  int max_passes = 3;            ///< propagation sweeps per probe
-  double feas_tol = lp::tol::kFeasTol;
-  /// Total row-entry visits across all probes before the pass stops early
-  /// (0 = auto: max(2^20, 32 * nnz)). Probing cost on the time-expanded
-  /// staircase models otherwise grows with probes * chain length, i.e.
-  /// quadratically in the step count, while fixing next to nothing there;
-  /// the limit turns the pass into a deterministic prefix of the probe
-  /// order whose findings are unchanged.
-  long work_limit = 0;
-};
 
 /// One discovered implication between binary columns: `antecedent == value`
 /// forces `consequent == forced`.
@@ -66,8 +58,7 @@ struct ProbingResult {
   }
 };
 
-[[nodiscard]] ProbingResult probe_binaries(const lp::Model& model,
-                                           const ProbingOptions& options = {});
+[[nodiscard]] ProbingResult probe_binaries(const lp::Model& model);
 
 /// Applies fixings + aggregations to `model`, tightens coefficients, and
 /// returns the reduction (with `tightened` reporting how many coefficients

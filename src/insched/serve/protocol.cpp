@@ -1,7 +1,10 @@
 #include "insched/serve/protocol.hpp"
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "insched/scheduler/problem_io.hpp"
 #include "insched/support/config.hpp"
@@ -81,19 +84,38 @@ scheduler::OutputPolicy parse_policy(const std::string& text) {
   throw std::runtime_error("serve json: unknown output_policy '" + text + "'");
 }
 
+/// Appends `,"key":value` per pair, each value through json::append_number.
+void append_fields(std::string& out,
+                   std::initializer_list<std::pair<const char*, double>> fields) {
+  for (const auto& [key, value] : fields) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    json::append_number(out, value);
+  }
+}
+
+/// The finite number of `field`. A null, which is what the encoders write
+/// for a NaN or infinity, is refused by the field's name.
+double finite_field(json::Reader& scan, const std::string& field) {
+  if (scan.null())
+    throw std::runtime_error("serve json: field '" + field + "' is null, not a finite number");
+  return scan.number();
+}
+
 scheduler::AnalysisParams analysis_from_reader(json::Reader& scan) {
   scheduler::AnalysisParams a;
   scan.object([&](const std::string& field) {
     if (field == "name") a.name = scan.string();
-    else if (field == "ft") a.ft = scan.number();
-    else if (field == "it") a.it = scan.number();
-    else if (field == "ct") a.ct = scan.number();
-    else if (field == "ot") a.ot = scan.number();
-    else if (field == "fm") a.fm = scan.number();
-    else if (field == "im") a.im = scan.number();
-    else if (field == "cm") a.cm = scan.number();
-    else if (field == "om") a.om = scan.number();
-    else if (field == "weight") a.weight = scan.number();
+    else if (field == "ft") a.ft = finite_field(scan, field);
+    else if (field == "it") a.it = finite_field(scan, field);
+    else if (field == "ct") a.ct = finite_field(scan, field);
+    else if (field == "ot") a.ot = finite_field(scan, field);
+    else if (field == "fm") a.fm = finite_field(scan, field);
+    else if (field == "im") a.im = finite_field(scan, field);
+    else if (field == "cm") a.cm = finite_field(scan, field);
+    else if (field == "om") a.om = finite_field(scan, field);
+    else if (field == "weight") a.weight = finite_field(scan, field);
     else if (field == "itv") a.itv = scan.integer();
     else throw std::runtime_error("serve json: unknown analysis field '" + field + "'");
   });
@@ -104,11 +126,11 @@ scheduler::ScheduleProblem problem_from_reader(json::Reader& scan) {
   scheduler::ScheduleProblem p;
   scan.object([&](const std::string& field) {
     if (field == "steps") p.steps = scan.integer();
-    else if (field == "threshold") p.threshold = scan.number();
+    else if (field == "threshold") p.threshold = finite_field(scan, field);
     else if (field == "threshold_kind") p.threshold_kind = parse_kind(scan.string());
-    else if (field == "sim_time_per_step") p.sim_time_per_step = scan.number();
-    else if (field == "memory") p.mth = scan.number();
-    else if (field == "bandwidth") p.bw = scan.number();
+    else if (field == "sim_time_per_step") p.sim_time_per_step = finite_field(scan, field);
+    else if (field == "memory") p.mth = finite_field(scan, field);
+    else if (field == "bandwidth") p.bw = finite_field(scan, field);
     else if (field == "output_policy") p.output_policy = parse_policy(scan.string());
     else if (field == "analyses")
       scan.array([&] { p.analyses.push_back(analysis_from_reader(scan)); });
@@ -122,23 +144,23 @@ scheduler::ScheduleProblem problem_from_reader(json::Reader& scan) {
 std::string problem_to_json(const scheduler::ScheduleProblem& problem) {
   // %.17g round-trips doubles exactly, so client-side and server-side
   // canonical fingerprints of the same problem agree.
-  std::string out = format("{\"steps\":%ld,\"threshold\":%.17g,\"threshold_kind\":\"%s\","
-                           "\"sim_time_per_step\":%.17g",
-                           problem.steps, problem.threshold, kind_name(problem.threshold_kind),
-                           problem.sim_time_per_step);
-  if (std::isfinite(problem.mth)) out += format(",\"memory\":%.17g", problem.mth);
-  if (std::isfinite(problem.bw)) out += format(",\"bandwidth\":%.17g", problem.bw);
+  std::string out = format("{\"steps\":%ld", problem.steps);
+  append_fields(out, {{"threshold", problem.threshold}});
+  out += format(",\"threshold_kind\":\"%s\"", kind_name(problem.threshold_kind));
+  append_fields(out, {{"sim_time_per_step", problem.sim_time_per_step}});
+  if (std::isfinite(problem.mth)) append_fields(out, {{"memory", problem.mth}});
+  if (std::isfinite(problem.bw)) append_fields(out, {{"bandwidth", problem.bw}});
   out += format(",\"output_policy\":\"%s\",\"analyses\":[", policy_name(problem.output_policy));
   for (std::size_t i = 0; i < problem.analyses.size(); ++i) {
     const scheduler::AnalysisParams& a = problem.analyses[i];
     if (i) out += ',';
     out += "{\"name\":";
     json::append_string(out, a.name);
-    out += format(",\"ft\":%.17g,\"it\":%.17g,\"ct\":%.17g", a.ft, a.it, a.ct);
-    if (a.ot >= 0.0) out += format(",\"ot\":%.17g", a.ot);
-    out += format(",\"fm\":%.17g,\"im\":%.17g,\"cm\":%.17g,\"om\":%.17g,\"weight\":%.17g,"
-                  "\"itv\":%ld}",
-                  a.fm, a.im, a.cm, a.om, a.weight, a.itv);
+    append_fields(out, {{"ft", a.ft}, {"it", a.it}, {"ct", a.ct}});
+    if (a.ot >= 0.0) append_fields(out, {{"ot", a.ot}});
+    append_fields(out, {{"fm", a.fm}, {"im", a.im}, {"cm", a.cm}, {"om", a.om},
+                        {"weight", a.weight}});
+    out += format(",\"itv\":%ld}", a.itv);
   }
   out += "]}";
   return out;
@@ -157,7 +179,7 @@ std::string request_to_json(const ServeRequest& request) {
     out += ",\"id\":";
     json::append_string(out, request.id);
   }
-  if (request.deadline_ms > 0.0) out += format(",\"deadline_ms\":%.17g", request.deadline_ms);
+  if (request.deadline_ms > 0.0) append_fields(out, {{"deadline_ms", request.deadline_ms}});
   if (request.formulation)
     out += format(",\"formulation\":\"%s\"",
                   *request.formulation == scheduler::Formulation::kTimeExpanded ? "time_expanded"
@@ -179,9 +201,9 @@ std::string request_to_json(const ServeRequest& request) {
         if (i) out += ',';
         out += "{\"name\":";
         json::append_string(out, m.name);
-        if (!std::isnan(m.ct)) out += format(",\"ct\":%.17g", m.ct);
-        if (!std::isnan(m.ot)) out += format(",\"ot\":%.17g", m.ot);
-        if (!std::isnan(m.cm)) out += format(",\"cm\":%.17g", m.cm);
+        if (!std::isnan(m.ct)) append_fields(out, {{"ct", m.ct}});
+        if (!std::isnan(m.ot)) append_fields(out, {{"ot", m.ot}});
+        if (!std::isnan(m.cm)) append_fields(out, {{"cm", m.cm}});
         out += '}';
       }
       out += ']';
@@ -206,7 +228,7 @@ ServeRequest request_from_json(const std::string& line) {
     } else if (field == "id") {
       request.id = scan.string();
     } else if (field == "deadline_ms") {
-      request.deadline_ms = scan.number();
+      request.deadline_ms = finite_field(scan, field);
     } else if (field == "formulation") {
       const std::string text = scan.string();
       if (text == "aggregate") request.formulation = scheduler::Formulation::kAggregate;
@@ -230,9 +252,9 @@ ServeRequest request_from_json(const std::string& line) {
         MeasuredCost m;
         scan.object([&](const std::string& key) {
           if (key == "name") m.name = scan.string();
-          else if (key == "ct") m.ct = scan.number();
-          else if (key == "ot") m.ot = scan.number();
-          else if (key == "cm") m.cm = scan.number();
+          else if (key == "ct") m.ct = finite_field(scan, key);
+          else if (key == "ot") m.ot = finite_field(scan, key);
+          else if (key == "cm") m.cm = finite_field(scan, key);
           else throw std::runtime_error("serve json: unknown measured field '" + key + "'");
         });
         if (m.name.empty())
@@ -255,10 +277,12 @@ std::string response_to_json(const ServeResponse& response) {
   std::string out = "{\"id\":";
   json::append_string(out, response.id);
   out += format(",\"status\":\"%s\",\"cache_hit\":%s,\"coalesced\":%s,\"proven_optimal\":%s,"
-                "\"degraded\":%s,\"objective\":%.17g,\"latency_ms\":%.6g",
+                "\"degraded\":%s",
                 to_string(response.status), response.cache_hit ? "true" : "false",
                 response.coalesced ? "true" : "false", response.proven_optimal ? "true" : "false",
-                response.degraded ? "true" : "false", response.objective, response.latency_ms);
+                response.degraded ? "true" : "false");
+  append_fields(out, {{"objective", response.objective}});
+  out += format(",\"latency_ms\":%.6g", response.latency_ms);
   if (!response.message.empty()) {
     out += ",\"message\":";
     json::append_string(out, response.message);
@@ -306,7 +330,8 @@ ServeResponse response_from_json(const std::string& line) {
     else if (field == "coalesced") response.coalesced = scan.boolean();
     else if (field == "proven_optimal") response.proven_optimal = scan.boolean();
     else if (field == "degraded") response.degraded = scan.boolean();
-    else if (field == "objective") response.objective = scan.number();
+    else if (field == "objective")
+      response.objective = scan.null() ? std::numeric_limits<double>::quiet_NaN() : scan.number();
     else if (field == "latency_ms") response.latency_ms = scan.number();
     else if (field == "message") response.message = scan.string();
     else if (field == "lint") response.lint_json = scan.raw();

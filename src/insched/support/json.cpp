@@ -1,5 +1,6 @@
 #include "insched/support/json.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -32,6 +33,16 @@ void append_utf8(std::string& out, unsigned code) {
 }
 
 }  // namespace
+
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", value);
+  out.append(buf, static_cast<std::size_t>(n));
+}
 
 void append_string(std::string& out, std::string_view text) {
   out += '"';

@@ -11,8 +11,10 @@
 //     verbatim, so UTF-8 passes through. The reader decodes every RFC 8259
 //     escape, \uXXXX and surrogate pairs included, to UTF-8; a bad escape or
 //     a lone surrogate throws. Unescaped bytes are taken verbatim.
-//   * numbers follow the RFC 8259 grammar and must be finite doubles;
-//     integers must also be integral and fit in a long (never rounded).
+//   * numbers: the writer prints a finite double with %.17g (exact round
+//     trip) and a NaN or infinity as null. The reader takes the RFC 8259
+//     grammar and finite doubles only (null() tests for a null); integers
+//     must also be integral and fit in a long (never rounded).
 //   * raw() captures one value verbatim and nests at most kMaxDepth levels.
 // Every decode error is a std::runtime_error naming the byte offset.
 //
@@ -29,6 +31,9 @@ namespace insched::json {
 
 /// Appends `text` to `out` as a quoted JSON string.
 void append_string(std::string& out, std::string_view text);
+
+/// Appends `value` to `out`: %.17g when finite, otherwise null.
+void append_number(std::string& out, double value);
 
 /// Recursive-descent reader over one JSON text, which must outlive it.
 class Reader {
@@ -84,6 +89,14 @@ class Reader {
     if (std::from_chars(token.data(), token.data() + token.size(), value).ec != std::errc())
       fail("integer out of range");
     return value;
+  }
+
+  /// Consumes `null` (after whitespace) when it is next.
+  [[nodiscard]] bool null() noexcept {
+    skip();
+    if (text_.substr(pos_, 4) != "null") return false;
+    pos_ += 4;
+    return true;
   }
 
   /// `true` or `false`.

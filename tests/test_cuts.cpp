@@ -102,8 +102,7 @@ TEST(Cuts, SeparatorsNeverCutIntegerPointsOnRandomKnapsacks) {
     ASSERT_TRUE(rel.optimal());
 
     std::vector<Cut> cuts;
-    for (Cut& c : generate_cover_cuts(m, rel.x, 1e-5, /*lift=*/true))
-      cuts.push_back(std::move(c));
+    for (Cut& c : generate_cover_cuts(m, rel.x, 1e-5)) cuts.push_back(std::move(c));
     for (Cut& c : generate_mir_cuts(m, rel.x, 1e-5)) cuts.push_back(std::move(c));
     ConflictGraph conflicts;
     conflicts.build(m, {});

@@ -1,7 +1,8 @@
 // Unit tests for the sparse LU basis factorization kernel (lp/factor.hpp):
 // FTRAN/BTRAN agreement with dense reference solves, singular-basis
 // rejection, eta-file updates staying consistent with fresh factorizations
-// over long pivot sequences, and snapshot serialization round-trips.
+// over long pivot sequences, the hyper-sparse and dense-mode kernels against
+// the same reference, and snapshot serialization round-trips.
 
 #include <cmath>
 #include <random>
@@ -254,6 +255,71 @@ TEST(Factor, EtaUpdatesMatchFreshFactorizationOver100Pivots) {
   }
   EXPECT_EQ(lu.eta_count(), 120);
   EXPECT_GE(lu.stats().peak_eta_length, 120);
+}
+
+DenseMatrix transpose(const DenseMatrix& mat) {
+  DenseMatrix t(mat.size(), std::vector<double>(mat.size(), 0.0));
+  for (std::size_t j = 0; j < mat.size(); ++j)
+    for (std::size_t i = 0; i < mat.size(); ++i) t[i][j] = mat[j][i];
+  return t;
+}
+
+// FTRAN and BTRAN pick their kernel by right-hand-side density: fewer than
+// 0.2 * m nonzeros take the hyper-sparse kernel, more take the dense-mode
+// one. Each random basis, with eta updates applied, is solved both ways and
+// both must match the dense reference; the dense counters move only on the
+// dense solves.
+TEST(Factor, SparseAndDenseKernelsMatchTheReferenceWithEtas) {
+  std::mt19937 rng(41);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  for (const int m : {20, 45, 90}) {
+    std::uniform_int_distribution<int> pick(0, m - 1);
+    DenseMatrix mat = random_basis(m, 3, &rng);
+    LuFactors lu;
+    ASSERT_TRUE(lu.factorize(to_sparse(mat), 1e-11));
+    for (int p = 0; p < m / 4;) {
+      const int pos = pick(rng);
+      std::vector<double> col(static_cast<std::size_t>(m), 0.0);
+      col[static_cast<std::size_t>(pos)] = 3.0 + val(rng);
+      col[static_cast<std::size_t>(pick(rng))] += 0.5 * val(rng);
+      SparseVec probe;
+      load_vec(&probe, col);
+      lu.ftran(&probe);
+      if (std::fabs(probe.values[static_cast<std::size_t>(pos)]) < 0.5) continue;
+      pivot_in(&lu, &mat, pos, col);
+      ++p;
+    }
+    ASSERT_GT(lu.eta_count(), 0);
+    const DenseMatrix mat_t = transpose(mat);
+
+    for (const bool dense : {false, true}) {
+      // One nonzero, or every third entry (at least 0.2 * m of them).
+      std::vector<double> b(static_cast<std::size_t>(m), 0.0);
+      if (dense) {
+        for (int i = 0; i < m; i += 3) b[static_cast<std::size_t>(i)] = val(rng) + 2.0;
+      } else {
+        b[static_cast<std::size_t>(pick(rng))] = val(rng) + 2.0;
+      }
+      const long ftran_dense = lu.stats().ftran_dense;
+      const long btran_dense = lu.stats().btran_dense;
+
+      SparseVec x;
+      load_vec(&x, b);
+      lu.ftran(&x);
+      EXPECT_EQ(lu.stats().ftran_dense, ftran_dense + (dense ? 1 : 0)) << "m=" << m;
+      const std::vector<double> x_ref = dense_solve(mat, b);
+      SparseVec y;
+      load_vec(&y, b);
+      lu.btran(&y);
+      EXPECT_EQ(lu.stats().btran_dense, btran_dense + (dense ? 1 : 0)) << "m=" << m;
+      const std::vector<double> y_ref = dense_solve(mat_t, b);
+      for (int i = 0; i < m; ++i) {
+        const auto is = static_cast<std::size_t>(i);
+        EXPECT_NEAR(x.values[is], x_ref[is], 1e-7) << "m=" << m << " dense=" << dense;
+        EXPECT_NEAR(y.values[is], y_ref[is], 1e-7) << "m=" << m << " dense=" << dense;
+      }
+    }
+  }
 }
 
 TEST(Factor, SnapshotSharesCoreAndRoundTripsThroughText) {

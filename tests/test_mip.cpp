@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "insched/casestudy/flash_sedov.hpp"
+#include "insched/casestudy/lammps_water.hpp"
 #include "insched/lp/model.hpp"
 #include "insched/mip/branch_and_bound.hpp"
 #include "insched/mip/cuts.hpp"
 #include "insched/mip/heuristics.hpp"
+#include "insched/scheduler/aggregate_milp.hpp"
 #include "insched/scheduler/timeexp_milp.hpp"
 #include "insched/support/random.hpp"
 
@@ -172,7 +174,7 @@ TEST(Heuristics, RoundAndFixFindsFeasible) {
   const int y = m.add_column("y", 0.0, 10.0, 0.5);
   m.add_row("cap", RowType::kLe, 6.0, {{x, 1.0}, {y, 1.0}});
   const std::vector<double> lp_point{2.4, 3.6};
-  const auto sol = round_and_fix(m, lp_point, {}, 1e-6);
+  const auto sol = round_and_fix(m, lp_point, {});
   ASSERT_TRUE(sol.has_value());
   EXPECT_TRUE(m.is_feasible(*sol, 1e-6));
   EXPECT_NEAR((*sol)[0], 2.0, 1e-9);
@@ -187,7 +189,7 @@ TEST(Heuristics, DiveReachesIntegrality) {
   m.add_row("cap", RowType::kLe, 9.5, entries);
   const lp::SimplexResult rel = lp::solve_lp(m);
   ASSERT_TRUE(rel.optimal());
-  const auto sol = dive(m, rel.x, {}, 1e-6);
+  const auto sol = dive(m, rel.x, {});
   ASSERT_TRUE(sol.has_value());
   EXPECT_TRUE(m.is_feasible(*sol, 1e-6));
 }
@@ -680,6 +682,29 @@ TEST(MipCounterTable, CutFamiliesSumToAppliedOnStaircase) {
                 c.cuts_applied_mir,
             c.cuts_applied);
   EXPECT_GT(c.conflict_cliques, 0);
+}
+
+// A probing pass that its work limit cuts short shows in the counters: the
+// water staircase at steps=200 hits the limit, the aggregate water model
+// (a few dozen columns) does not.
+TEST(MipCounterTable, ProbingWorkLimitIsCounted) {
+  const scheduler::ScheduleProblem water = casestudy::water_ions_problem(16384, 0.10);
+  scheduler::ScheduleProblem staircase = water;
+  staircase.steps = 200;
+  staircase.mth = scheduler::kNoLimit;
+  for (auto& a : staircase.analyses) a.itv = std::max<long>(1, staircase.steps / 20);
+  MipOptions opt;
+  opt.threads = 1;
+  const MipResult capped =
+      solve_mip(scheduler::build_time_expanded_milp(staircase).model, opt);
+  ASSERT_TRUE(capped.optimal());
+  EXPECT_GT(capped.counters.probing_probes, 0);
+  EXPECT_EQ(capped.counters.probing_work_limited, 1);
+
+  const MipResult aggregate = solve_mip(scheduler::build_aggregate_milp(water).model, opt);
+  ASSERT_TRUE(aggregate.optimal());
+  EXPECT_GT(aggregate.counters.probing_probes, 0);
+  EXPECT_EQ(aggregate.counters.probing_work_limited, 0);
 }
 
 // A model without integer columns skips the tree, but still reports the

@@ -2,7 +2,7 @@
 // (docs/ROBUSTNESS.md): the deterministic fault-injection harness, the LP
 // recovery ladder, MIP-level retries and deterministic limits, scheduler
 // graceful degradation to the greedy fallback, runtime failure policies,
-// and the cut-pool / presolve robustness edge cases.
+// and the presolve robustness edge cases.
 //
 // The staircase sweeps re-solve the three case-study MILPs with an LU or
 // pivot fault injected at every event index in turn and assert the known
@@ -26,7 +26,6 @@
 #include "insched/lp/presolve.hpp"
 #include "insched/lp/simplex.hpp"
 #include "insched/mip/branch_and_bound.hpp"
-#include "insched/mip/cut_pool.hpp"
 #include "insched/runtime/runtime.hpp"
 #include "insched/scheduler/solver.hpp"
 #include "insched/scheduler/timeexp_milp.hpp"
@@ -487,51 +486,6 @@ TEST(RuntimePolicy, MemoryOverrunAbortThrows) {
   config.on_memory_overrun = runtime::FailurePolicy::kAbort;
   runtime::InsituRuntime rt(*fix.md, fix.registry, fix.schedule, config);
   EXPECT_THROW(rt.run(), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// Cut-pool capacity (satellite: aging at capacity).
-
-mip::Cut make_cut(int col_a, int col_b, double rhs) {
-  mip::Cut cut;
-  cut.type = lp::RowType::kLe;
-  cut.family = mip::CutFamily::kCover;
-  cut.rhs = rhs;
-  cut.entries = {{col_a, 1.0}, {col_b, 1.0}};
-  cut.violation = 0.5;
-  return cut;
-}
-
-TEST(CutPoolCapacity, EvictsTheStalestEntryAtCapacity) {
-  mip::CutPool pool(/*max_age=*/8, /*capacity=*/2);
-  ASSERT_TRUE(pool.add(make_cut(0, 1, 1.0)));
-  ASSERT_TRUE(pool.add(make_cut(0, 2, 1.0)));
-  EXPECT_EQ(pool.size(), 2);
-  // Age the residents: x satisfies both cuts, so select() applies nothing.
-  const std::vector<double> x = {0.0, 0.0, 0.0, 0.0};
-  EXPECT_TRUE(pool.select(x, 8).empty());
-  // A third cut displaces the stalest resident instead of growing the pool.
-  ASSERT_TRUE(pool.add(make_cut(0, 3, 1.0)));
-  EXPECT_EQ(pool.size(), 2);
-  EXPECT_EQ(pool.counters().evicted, 1);
-}
-
-TEST(CutPoolCapacity, AgingStillWorksAtCapacity) {
-  mip::CutPool pool(/*max_age=*/2, /*capacity=*/2);
-  ASSERT_TRUE(pool.add(make_cut(0, 1, 1.0)));
-  ASSERT_TRUE(pool.add(make_cut(0, 2, 1.0)));
-  const std::vector<double> x = {0.0, 0.0, 0.0};
-  for (int round = 0; round < 3; ++round) EXPECT_TRUE(pool.select(x, 8).empty());
-  EXPECT_EQ(pool.size(), 0);  // both aged out despite the capacity cap
-  EXPECT_GE(pool.counters().aged_out, 2L);
-  EXPECT_EQ(pool.counters().evicted, 0);
-}
-
-TEST(CutPoolCapacity, UnboundedPoolNeverEvicts) {
-  mip::CutPool pool(/*max_age=*/8, /*capacity=*/0);
-  for (int j = 1; j <= 16; ++j) ASSERT_TRUE(pool.add(make_cut(0, j, 1.0)));
-  EXPECT_EQ(pool.size(), 16);
-  EXPECT_EQ(pool.counters().evicted, 0);
 }
 
 // ---------------------------------------------------------------------------

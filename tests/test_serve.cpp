@@ -38,6 +38,7 @@
 #include "insched/serve/engine.hpp"
 #include "insched/serve/protocol.hpp"
 #include "insched/serve/server.hpp"
+#include "insched/support/json.hpp"
 #include "insched/support/string_util.hpp"
 
 namespace {
@@ -503,6 +504,44 @@ TEST(Protocol, NonIntegralOrNonFiniteNumbersThrow) {
         with("\"itv\":2", "\"itv\":2.5"), with("\"threshold\":50", "\"threshold\":inf"),
         with("\"id\":\"n\"", "\"id\":\"n\",\"deadline_ms\":-inf")})
     EXPECT_THROW((void)serve::request_from_json(bad), std::runtime_error) << bad;
+}
+
+/// True when `text` is one JSON value that json::Reader accepts.
+bool parses_as_json(const std::string& text) {
+  try {
+    json::Reader reader(text);
+    (void)reader.raw();
+    reader.expect_end();
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+// A NaN or infinite double goes on the wire as null, so every encoded line
+// parses. A problem field holding null then fails by its name, not as a
+// syntax error; a response objective reads back as NaN.
+TEST(Protocol, NonFiniteNumbersEncodeAsNull) {
+  ScheduleProblem p = two_analysis_problem();
+  p.analyses[0].ft = std::numeric_limits<double>::infinity();
+  const std::string problem = serve::problem_to_json(p);
+  EXPECT_NE(problem.find("\"ft\":null"), std::string::npos) << problem;
+  EXPECT_TRUE(parses_as_json(problem)) << problem;
+  try {
+    (void)serve::problem_from_json(problem);
+    ADD_FAILURE() << "a null ft decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("field 'ft' is null"), std::string::npos) << e.what();
+  }
+
+  serve::ServeResponse response;
+  response.id = "nan";
+  response.status = serve::ResponseStatus::kError;
+  response.objective = std::numeric_limits<double>::quiet_NaN();
+  const std::string answer = serve::response_to_json(response);
+  EXPECT_NE(answer.find("\"objective\":null"), std::string::npos) << answer;
+  EXPECT_TRUE(parses_as_json(answer)) << answer;
+  EXPECT_TRUE(std::isnan(serve::response_from_json(answer).objective));
 }
 
 TEST(Protocol, DeeplyNestedResponseThrows) {

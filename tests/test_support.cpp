@@ -212,6 +212,29 @@ TEST(Json, NumbersAreFinite) {
     EXPECT_THROW((void)json_number_of(bad), std::runtime_error) << bad;
 }
 
+TEST(Json, NumbersWriteRoundTripOrNull) {
+  std::string out;
+  for (const double v : {0.1, -2.5e-300, 1.0 / 3.0, 1e300}) {
+    out.clear();
+    json::append_number(out, v);
+    EXPECT_EQ(json_number_of(out), v) << out;
+  }
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    out.clear();
+    json::append_number(out, v);
+    EXPECT_EQ(out, "null");
+    json::Reader reader(out);
+    EXPECT_TRUE(reader.null());
+    reader.expect_end();
+  }
+  const std::string one = "1";
+  json::Reader reader(one);
+  EXPECT_FALSE(reader.null());
+  EXPECT_DOUBLE_EQ(reader.number(), 1.0);
+}
+
 TEST(Json, IntegersAreIntegralAndFitLong) {
   EXPECT_EQ(json_integer_of("42"), 42);
   EXPECT_EQ(json_integer_of("3.0"), 3);
